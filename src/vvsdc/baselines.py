@@ -5,6 +5,7 @@ import numpy as np
 
 from .preconditioner import _solve_node_velocity
 from .problems import SecondOrderIVP
+from .sdc import march
 
 
 def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
@@ -26,21 +27,17 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
 
 def integrate_verlet(problem: SecondOrderIVP, u0, t0: float, t_end: float,
                      dt: float):
-    """Velocity-Verlet run; returns (times, xs, vs) arrays over the steps."""
-    x, v = np.atleast_1d(np.asarray(u0[0], float)), np.atleast_1d(np.asarray(u0[1], float))
-    f = None
-    t = t0
-    times, xs, vs = [], [], []
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step_dt = min(dt, t_end - t)
-        if step_dt != dt:
-            f = None  # spacing changed, trailing force no longer matches
-        x, v, f = verlet_step(problem, x, v, step_dt, f_prev=f)
-        t += step_dt
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-    return np.array(times), np.array(xs), np.array(vs)
+    """Velocity-Verlet run; returns (times, xs, vs) arrays over the steps.
+
+    The trailing force f(x', v') of each step starts the next one whatever
+    its size, so a run costs one force evaluation per step plus the first.
+    """
+    def step(u, h):
+        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2])
+        return u, u
+    times, states = march(step, (u0[0], u0[1], None), t0, t_end, dt)
+    xs, vs, _ = zip(*states)
+    return times, np.array(xs), np.array(vs)
 
 
 def rkn4_step(problem: SecondOrderIVP, x, v, dt: float):
@@ -62,14 +59,10 @@ def rkn4_step(problem: SecondOrderIVP, x, v, dt: float):
 
 def integrate_rkn4(problem: SecondOrderIVP, u0, t0: float, t_end: float,
                    dt: float):
-    x, v = np.atleast_1d(np.asarray(u0[0], float)), np.atleast_1d(np.asarray(u0[1], float))
-    t = t0
-    times, xs, vs = [], [], []
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step_dt = min(dt, t_end - t)
-        x, v = rkn4_step(problem, x, v, step_dt)
-        t += step_dt
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-    return np.array(times), np.array(xs), np.array(vs)
+    """RK4 run; returns (times, xs, vs) arrays over the steps."""
+    def step(u, h):
+        u = rkn4_step(problem, u[0], u[1], h)
+        return u, u
+    times, states = march(step, u0, t0, t_end, dt)
+    xs, vs = zip(*states)
+    return times, np.array(xs), np.array(vs)

@@ -104,7 +104,6 @@ def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
     """
     if K is None and tol is None:
         raise ValueError("need an iteration count or a tolerance")
-    x0, v0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, rule, problem.d)
     state = ff.copy() if initial is None else initial.copy()
     if forces is None:

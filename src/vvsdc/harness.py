@@ -15,7 +15,7 @@ from .errors import ConfigurationError, DivergenceError
 from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
-from .sdc import GuessStrategy, SweeperConfig, integrate, sdc_step
+from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
 from .stability import GridSpec, ScanKind, scan_domain, stability_limit
 
 SATURATION_LOW = 1e-12
@@ -44,7 +44,6 @@ class ExperimentConfig:
     methods: tuple = ("sdc", "picard", "rkn4")
     grid: GridSpec = field(default_factory=GridSpec)
     out: str | None = None
-    fast_linear_path: bool = True
 
     def make_problem(self) -> SecondOrderIVP:
         if self.problem == "oscillator":
@@ -70,7 +69,7 @@ _KNOWN_KEYS = {
     "sweeper": {"k", "k_list", "initial_guess", "seed"},
     "run": {"kind", "dt_list", "t_end", "n_steps", "hamiltonian_dt",
             "methods", "out", "kappa_max", "mu_max", "kappa_cells",
-            "mu_cells", "fast_linear_path"},
+            "mu_cells"},
 }
 
 _GUESS_NAMES = {"copy": GuessStrategy.COPY_INITIAL,
@@ -135,7 +134,6 @@ def load_config(path: str) -> ExperimentConfig:
                             mu_max=s.getfloat("mu_max", 20.0),
                             kappa_cells=s.getint("kappa_cells", 200),
                             mu_cells=s.getint("mu_cells", 200))
-        cfg.fast_linear_path = s.getboolean("fast_linear_path", True)
     return cfg
 
 
@@ -179,7 +177,7 @@ def _predicted_local(p, K, k0, velocity_dependent, var):
     return min(p + 1, gain * K + k0 + extra)
 
 
-def _predicted_global(p, K, k0, velocity_dependent):
+def _predicted_global(p, K, k0, velocity_dependent, var):
     gain = 1 if velocity_dependent else 2
     return min(p, gain * K + k0)
 
@@ -187,92 +185,60 @@ def _predicted_global(p, K, k0, velocity_dependent):
 # ---------------------------------------------------------------------------
 # order studies
 
-def run_local_order(config: ExperimentConfig) -> OrderReport:
-    """Single-step absolute errors per component, one row per dt."""
-    rule = build_rule(config.family, config.M)
-    p = rule.order
+def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
+    """Slope-fit per-component errors over the dt ladder for every K.
+
+    ``errors_at(problem, u0, dt, sweeper)`` returns the (x, v) error
+    arrays of one run; ``predict`` is the theoretical order.
+    """
     probe = config.make_problem()
     if probe.exact is None:
-        raise ConfigurationError("local-order study needs an exact oracle")
-    x0, v0 = config.initial_value()
+        raise ConfigurationError("order studies need an exact oracle")
+    u0 = config.initial_value()
     dts = np.asarray(config.dt_list, float)
     if len(dts) < 4:
         raise ConfigurationError("order studies need at least 4 dt values")
     errors, slopes, predicted, residuals = {}, {}, {}, {}
     for K in config.K_list:
         sw = config.sweeper(K)
-        errs = {("x", i): [] for i in range(probe.d)}
-        errs.update({("v", i): [] for i in range(probe.d)})
-        for dt in dts:
-            problem = config.make_problem()
-            res = sdc_step(problem, (x0, v0), dt, sw)
-            xe, ve = exact_solution(problem, dt, x0, v0)
-            for i in range(problem.d):
-                errs[("x", i)].append(abs(res.x_end[i] - xe[i]))
-                errs[("v", i)].append(abs(res.v_end[i] - ve[i]))
-        for (var, i), seq in errs.items():
-            label = f"K{K}_{var}{i + 1}"
-            errors[label] = np.array(seq)
-            slope, resid, _ = fit_slope(dts, seq)
-            slopes[label] = slope
-            residuals[label] = resid
-            predicted[label] = _predicted_local(
-                p, K, sw.k0, bool(probe.velocity_dependent[i]), var)
+        runs = [errors_at(config.make_problem(), u0, dt, sw) for dt in dts]
+        for j, var in enumerate("xv"):
+            for i in range(probe.d):
+                label = f"K{K}_{var}{i + 1}"
+                errors[label] = np.array([run[j][i] for run in runs])
+                slopes[label], residuals[label], _ = fit_slope(dts, errors[label])
+                predicted[label] = predict(
+                    sw.rule.order, K, sw.k0, bool(probe.velocity_dependent[i]), var)
     return OrderReport(dts, errors, slopes, predicted, residuals)
+
+
+def run_local_order(config: ExperimentConfig) -> OrderReport:
+    """Single-step absolute errors per component, one row per dt."""
+    def errors_at(problem, u0, dt, sw):
+        res = sdc_step(problem, u0, dt, sw)
+        xe, ve = exact_solution(problem, dt, *u0)
+        return np.abs(res.x_end - xe), np.abs(res.v_end - ve)
+    return _order_study(config, errors_at, _predicted_local)
 
 
 def run_global_order(config: ExperimentConfig) -> OrderReport:
     """Relative errors at t_end per component, slope-fitted over the ladder."""
-    rule = build_rule(config.family, config.M)
-    p = rule.order
-    probe = config.make_problem()
-    if probe.exact is None:
-        raise ConfigurationError("global-order study needs an exact oracle")
-    x0, v0 = config.initial_value()
-    dts = np.asarray(config.dt_list, float)
-    if len(dts) < 4:
-        raise ConfigurationError("order studies need at least 4 dt values")
-    xe, ve = exact_solution(probe, config.t_end, x0, v0)
-    errors, slopes, predicted, residuals = {}, {}, {}, {}
-    for K in config.K_list:
-        sw = config.sweeper(K)
-        errs = {("x", i): [] for i in range(probe.d)}
-        errs.update({("v", i): [] for i in range(probe.d)})
-        for dt in dts:
-            problem = config.make_problem()
-            try:
-                _, results = integrate(problem, (x0, v0), 0.0, config.t_end, dt, sw)
-                xn, vn = results[-1].x_end, results[-1].v_end
-            except DivergenceError:
-                xn = np.full(problem.d, np.inf)
-                vn = np.full(problem.d, np.inf)
-            for i in range(problem.d):
-                errs[("x", i)].append(abs(xn[i] - xe[i]) / max(abs(xe[i]), 1e-300))
-                errs[("v", i)].append(abs(vn[i] - ve[i]) / max(abs(ve[i]), 1e-300))
-        for (var, i), seq in errs.items():
-            label = f"K{K}_{var}{i + 1}"
-            errors[label] = np.array(seq)
-            slope, resid, _ = fit_slope(dts, seq)
-            slopes[label] = slope
-            residuals[label] = resid
-            predicted[label] = _predicted_global(
-                p, K, sw.k0, bool(probe.velocity_dependent[i]))
-    return OrderReport(dts, errors, slopes, predicted, residuals)
+    xe, ve = exact_solution(config.make_problem(), config.t_end,
+                            *config.initial_value())
+
+    def errors_at(problem, u0, dt, sw):
+        try:
+            _, results = integrate(problem, u0, 0.0, config.t_end, dt, sw)
+            xn, vn = results[-1].x_end, results[-1].v_end
+        except DivergenceError:
+            xn = vn = np.full(problem.d, np.inf)
+        return (np.abs(xn - xe) / np.maximum(np.abs(xe), 1e-300),
+                np.abs(vn - ve) / np.maximum(np.abs(ve), 1e-300))
+    return _order_study(config, errors_at, _predicted_global)
 
 
 # ---------------------------------------------------------------------------
 # work-precision
-
-def _picard_integrate(problem, u0, t0, t_end, dt, rule, K):
-    x, v = np.atleast_1d(np.asarray(u0[0], float)), np.atleast_1d(np.asarray(u0[1], float))
-    t = t0
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step_dt = min(dt, t_end - t)
-        state, _, F = picard_iterate(problem, (x, v), step_dt, rule, K=K)
-        x, v = update_step(state, (x, v), step_dt, rule, forces=F)
-        t += step_dt
-    return x, v
-
 
 def run_work_precision(config: ExperimentConfig):
     """Rows of (method, K, dt, f_evals, rel. position errors) for each run.
@@ -280,58 +246,45 @@ def run_work_precision(config: ExperimentConfig):
     Divergent runs are recorded with infinite error.
     """
     rule = build_rule(config.family, config.M)
-    x0, v0 = config.initial_value()
-    probe = config.make_problem()
-    xe, _ = exact_solution(probe, config.t_end, x0, v0)
-    dts = config.dt_list
+    u0 = config.initial_value()
+    xe, _ = exact_solution(config.make_problem(), config.t_end, *u0)
+    sweepers = {K: SweeperConfig(rule=rule, K=K,
+                                 initial_guess=GuessStrategy.COPY_INITIAL)
+                for K in config.K_list}
+
+    def picard(problem, K, dt):
+        def step(u, h):
+            state, _, F = picard_iterate(problem, u, h, rule, K=K)
+            u = update_step(state, u, h, rule, forces=F)
+            return u, u[0]
+        return march(step, u0, 0.0, config.t_end, dt)[1][-1]
+
+    # method -> (K values, run(problem, K, dt) -> final position)
+    methods = {
+        "sdc": (config.K_list, lambda problem, K, dt: integrate(
+            problem, u0, 0.0, config.t_end, dt, sweepers[K])[1][-1].x_end),
+        "picard": (config.K_list, picard),
+        "rkn4": ((0,), lambda problem, K, dt: integrate_rkn4(
+            problem, u0, 0.0, config.t_end, dt)[1][-1]),
+        "verlet": ((0,), lambda problem, K, dt: integrate_verlet(
+            problem, u0, 0.0, config.t_end, dt)[1][-1]),
+    }
     rows = []
-
-    def record(method, K, dt, problem, x_end):
-        err = np.abs(np.asarray(x_end) - xe) / np.maximum(np.abs(xe), 1e-300)
-        rows.append({"method": method, "K": K, "dt": dt,
-                     "f_evals": problem.f_evals,
-                     "err1": float(err[0]),
-                     "err3": float(err[-1])})
-
     for method in config.methods:
-        if method == "sdc":
-            for K in config.K_list:
-                sw = SweeperConfig(rule=rule, K=K,
-                                   initial_guess=GuessStrategy.COPY_INITIAL)
-                for dt in dts:
-                    problem = config.make_problem()
-                    try:
-                        _, results = integrate(problem, (x0, v0), 0.0,
-                                               config.t_end, dt, sw)
-                        record("sdc", K, dt, problem, results[-1].x_end)
-                    except DivergenceError:
-                        rows.append({"method": "sdc", "K": K, "dt": dt,
-                                     "f_evals": problem.f_evals,
-                                     "err1": math.inf, "err3": math.inf})
-        elif method == "picard":
-            for K in config.K_list:
-                for dt in dts:
-                    problem = config.make_problem()
-                    try:
-                        x_end, _ = _picard_integrate(problem, (x0, v0), 0.0,
-                                                     config.t_end, dt, rule, K)
-                        record("picard", K, dt, problem, x_end)
-                    except DivergenceError:
-                        rows.append({"method": "picard", "K": K, "dt": dt,
-                                     "f_evals": problem.f_evals,
-                                     "err1": math.inf, "err3": math.inf})
-        elif method == "rkn4":
-            for dt in dts:
-                problem = config.make_problem()
-                _, xs, _ = integrate_rkn4(problem, (x0, v0), 0.0, config.t_end, dt)
-                record("rkn4", 0, dt, problem, xs[-1])
-        elif method == "verlet":
-            for dt in dts:
-                problem = config.make_problem()
-                _, xs, _ = integrate_verlet(problem, (x0, v0), 0.0, config.t_end, dt)
-                record("verlet", 0, dt, problem, xs[-1])
-        else:
+        if method not in methods:
             raise ConfigurationError(f"unknown work-precision method {method!r}")
+        K_values, run = methods[method]
+        for K in K_values:
+            for dt in config.dt_list:
+                problem = config.make_problem()
+                try:
+                    x_end = run(problem, K, dt)
+                except DivergenceError:
+                    x_end = np.full(problem.d, math.inf)
+                err = np.abs(x_end - xe) / np.maximum(np.abs(xe), 1e-300)
+                rows.append({"method": method, "K": K, "dt": dt,
+                             "f_evals": problem.f_evals,
+                             "err1": float(err[0]), "err3": float(err[-1])})
     return rows
 
 
@@ -408,8 +361,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     The undamped oscillator is linear, so each fixed-dt method is an affine
     map on (x, v); the long run iterates the one-step matrix extracted from
     the actual stepper, which is exact for this problem and keeps the
-    default 1e5-step run fast.  Set ``fast_linear_path = False`` to force
-    stepping through the integrator itself.
+    default 1e5-step run fast.
 
     The starting iterate defaults to a velocity-Verlet sweep: with a
     copied initial value, even iteration counts leave the one-step map
@@ -427,42 +379,16 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
         rule = build_rule(config.family, M)
         for K in config.K_list:
             sw = SweeperConfig(rule=rule, K=K, initial_guess=guess)
-            label = f"sdc_M{M}_K{K}"
-            if config.fast_linear_path:
-                problem = config.make_problem()
-                S = _one_step_matrix(
-                    lambda x, v: (lambda r: (r.x_end, r.v_end))(
-                        sdc_step(problem, (x, v), dt, sw)))
-                out.append(_drift_from_matrix(S, u0, config.n_steps,
-                                              subsample, label))
-            else:
-                out.append(_drift_direct(config, sw, dt, u0, subsample, label))
+            problem = config.make_problem()
+            S = _one_step_matrix(
+                lambda x, v: (lambda r: (r.x_end, r.v_end))(
+                    sdc_step(problem, (x, v), dt, sw)))
+            out.append(_drift_from_matrix(S, u0, config.n_steps, subsample,
+                                          f"sdc_M{M}_K{K}"))
     problem = config.make_problem()
     S = _one_step_matrix(lambda x, v: rkn4_step(problem, x, v, dt))
     out.append(_drift_from_matrix(S, u0, config.n_steps, subsample, "rkn4"))
     return out
-
-
-def _drift_direct(config, sw, dt, u0, subsample, label):
-    problem = config.make_problem()
-    x, v = np.array([u0[0]]), np.array([u0[1]])
-    h0 = 0.5 * (x[0] ** 2 + v[0] ** 2)
-    steps, series = [], []
-    max_err = 0.0
-    for n in range(1, config.n_steps + 1):
-        res = sdc_step(problem, (x, v), dt, sw)
-        x, v = res.x_end, res.v_end
-        err = abs(0.5 * (x[0] ** 2 + v[0] ** 2) - h0) / h0
-        max_err = max(max_err, err)
-        if n % subsample == 0:
-            steps.append(n)
-            series.append(err)
-    steps = np.array(steps)
-    series = np.array(series)
-    slope, stderr = _fit_trend(steps, series)
-    return DriftSeries(label=label, steps=steps, rel_error=series,
-                       max_rel_error=max_err, trend_slope=slope,
-                       trend_stderr=stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,12 @@ def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, node):
     for _ in range(_FP_MAXITER):
         f = problem.f(x, v)
         v_new = b + dt_qt * f
-        if np.max(np.abs(v_new - v)) <= _FP_TOL:
+        update = np.max(np.abs(v_new - v))
+        if update <= _FP_TOL:
             return v_new, problem.f(x, v_new)
         v = v_new
     raise SolverError("node velocity solve did not converge", node=node,
-                      residual=float(np.max(np.abs(v_new - v))))
+                      residual=float(update))
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,

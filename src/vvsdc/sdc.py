@@ -113,22 +113,31 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
                       collocation_residual(problem, state, u0, dt, config.rule, forces=F))
 
 
-def integrate(problem: SecondOrderIVP, u0, t0: float, t_end: float, dt: float,
-              config: SweeperConfig):
+def march(step, u0, t0: float, t_end: float, dt: float):
     """Serial time stepping from t0 to t_end; a final partial step is allowed.
 
-    Returns (times, results) with times[i] the end time of results[i].
+    ``step(u, h)`` advances the state ``u`` by ``h`` and returns
+    ``(u_next, out)``.  Time accumulates step by step (``t += h``), so
+    every step but the last is exactly ``dt``.  Returns (times, outs) with
+    times[i] the end time of outs[i].
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    x, v = _as_u0(u0, problem.d)
-    t = t0
-    times, results = [], []
+    u, t = u0, t0
+    times, outs = [], []
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        step_dt = min(dt, t_end - t)
-        res = sdc_step(problem, (x, v), step_dt, config)
-        x, v = res.x_end, res.v_end
-        t += step_dt
+        h = min(dt, t_end - t)
+        u, out = step(u, h)
+        t += h
         times.append(t)
-        results.append(res)
-    return np.array(times), results
+        outs.append(out)
+    return np.array(times), outs
+
+
+def integrate(problem: SecondOrderIVP, u0, t0: float, t_end: float, dt: float,
+              config: SweeperConfig):
+    """SDC steps from t0 to t_end; returns (times, results) as :func:`march`."""
+    def step(u, h):
+        res = sdc_step(problem, u, h, config)
+        return (res.x_end, res.v_end), res
+    return march(step, _as_u0(u0, problem.d), t0, t_end, dt)

@@ -36,15 +36,17 @@ class TestVerlet:
         slope, _, _ = fit_slope(dts, errs)
         assert slope == pytest.approx(2.0, abs=0.1)
 
-    def test_trailing_force_reuse(self):
-        # dt chosen as an exact binary fraction so no partial final step
-        # disturbs the count: one evaluation per step plus the first force
+    @pytest.mark.parametrize("dt, steps", [(2.0 ** -6, 64), (0.01, 100),
+                                           (0.03, 34)])
+    def test_trailing_force_reuse(self, dt, steps):
+        # one evaluation per step plus the first force, also when the last
+        # step is shorter than dt
         problem = make_penning()
         _, xs, _ = integrate_verlet(problem,
                                     ([10.0, 0.0, 0.0], [100.0, 0.0, 100.0]),
-                                    0.0, 1.0, 2.0 ** -6)
-        assert len(xs) == 64
-        assert problem.f_evals == 64 + 1
+                                    0.0, 1.0, dt)
+        assert len(xs) == steps
+        assert problem.f_evals == steps + 1
 
     def test_composition_equals_verlet_solve(self):
         # stepping through the node spacings is the same pass verlet_solve

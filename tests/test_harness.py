@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vvsdc import ConfigurationError, GuessStrategy, NodeFamily
+from vvsdc import (ConfigurationError, GuessStrategy, NodeFamily,
+                   SweeperConfig, build_rule, integrate)
 from vvsdc.harness import (ExperimentConfig, fit_slope, load_config,
                            order_report_rows, read_csv, run_global_order,
                            run_hamiltonian_drift, run_local_order,
@@ -136,15 +137,21 @@ class TestHamiltonianDrift:
         assert len(sdc.steps) == 200
 
     def test_fast_path_matches_direct_stepping(self):
-        common = dict(problem="oscillator", kappa=1.0, mu=0.0,
-                      K_list=(2,), n_steps=300)
-        fast = run_hamiltonian_drift(
-            ExperimentConfig(fast_linear_path=True, **common), M_list=(3,))
-        slow = run_hamiltonian_drift(
-            ExperimentConfig(fast_linear_path=False, **common), M_list=(3,))
+        cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,
+                               K_list=(2,), n_steps=300)
+        fast = run_hamiltonian_drift(cfg, M_list=(3,))
         a = next(s for s in fast if s.label.startswith("sdc"))
-        b = next(s for s in slow if s.label.startswith("sdc"))
-        assert a.rel_error == pytest.approx(b.rel_error, rel=1e-8, abs=1e-12)
+        # the same run stepped through the integrator itself
+        sw = SweeperConfig(rule=build_rule(cfg.family, 3), K=2,
+                           initial_guess=GuessStrategy.VERLET_SWEEP)
+        dt = cfg.hamiltonian_dt
+        _, results = integrate(cfg.make_problem(), (1.0, 0.0), 0.0,
+                               cfg.n_steps * dt, dt, sw)
+        assert len(results) == cfg.n_steps
+        energy = np.array([0.5 * (r.x_end[0] ** 2 + r.v_end[0] ** 2)
+                           for r in results])
+        direct = np.abs(energy - 0.5)[a.steps - 1] / 0.5
+        assert a.rel_error == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
 
 def test_csv_full_precision_roundtrip(tmp_path):

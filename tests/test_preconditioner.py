@@ -131,5 +131,6 @@ def test_nonlinear_velocity_solve_and_failure():
         d=1,
         force=lambda x, v: np.array([50.0 * v[0]]),
         velocity_dependent=np.array([True]))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError) as info:
         verlet_solve(stiff, rhs_x, rhs_v, 0.3, pre)
+    assert info.value.residual > 0

@@ -1,13 +1,16 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vvsdc import (DivergenceError, GuessStrategy, NodeFamily, NodeState,
                    SweeperConfig, build_preconditioner, build_rule,
                    collocation_residual, free_flight, initial_guess, integrate,
                    make_oscillator, make_penning, picard_iterate, sdc_step,
                    sdc_sweep, solve_collocation_linear, update_step)
-from vvsdc.baselines import verlet_step
+from vvsdc.baselines import integrate_rkn4, integrate_verlet, verlet_step
 from vvsdc.problems import _linear_problem
+from vvsdc.sdc import march
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 PRE3 = build_preconditioner(RULE3)
@@ -207,9 +210,30 @@ class TestIntegrate:
         assert len(results) == 3
         assert times[-1] == pytest.approx(0.25)
 
-    def test_bad_interval(self):
+    @pytest.mark.parametrize("run", [
+        lambda *a: integrate(*a, SweeperConfig(rule=RULE3)),
+        integrate_verlet,
+        integrate_rkn4,
+    ], ids=["integrate", "verlet", "rkn4"])
+    def test_bad_interval(self, run):
         problem = make_oscillator(1.0, 0.0)
-        cfg = SweeperConfig(rule=RULE3)
-        with pytest.raises(ValueError):
-            integrate(problem, (np.array([1.0]), np.array([0.0])),
-                      1.0, 1.0, 0.1, cfg)
+        for t_end in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                run(problem, (np.array([1.0]), np.array([0.0])), 1.0, t_end, 0.1)
+
+
+@settings(deadline=None)
+@given(t0=st.floats(-100.0, 100.0), span=st.floats(1e-2, 10.0),
+       dt=st.floats(1e-2, 10.0))
+def test_march_grid(t0, span, dt):
+    t_end = t0 + span
+    sizes = []
+
+    def step(u, h):
+        sizes.append(h)
+        return u, None
+    times, _ = march(step, None, t0, t_end, dt)
+    assert np.all(np.diff(times) > 0.0) and times[0] > t0
+    assert all(h == dt for h in sizes[:-1])
+    assert 0.0 < sizes[-1] <= dt
+    assert abs(times[-1] - t_end) <= 1e-12 * max(1.0, abs(t_end))
