@@ -14,10 +14,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .harness import (ExperimentConfig, load_config, order_report_rows,
                       run_global_order, run_hamiltonian_drift, run_limits,
-                      run_local_order, run_scan, run_work_precision, write_csv)
+                      run_local_order, run_work_precision, write_csv)
 from .quadrature import NodeFamily, build_rule, generate_nodes
 from .sdc import GuessStrategy, SweeperConfig, integrate
-from .stability import GridSpec, ScanKind
+from .stability import ScanKind, scan_domain
 
 
 def _add_common(sub):
@@ -64,7 +64,7 @@ def _scan_command(kind, default_K):
     def run(args):
         cfg = _build_config(args)
         K = args.K[0] if args.K else default_K
-        result = run_scan(cfg, kind, K)
+        result = scan_domain(kind, build_rule(cfg.family, cfg.M), K, cfg.grid)
         name = kind.value + (f"_K{K}" if K is not None else "")
         path = os.path.join(cfg.out, f"{name}.csv")
         os.makedirs(cfg.out, exist_ok=True)

@@ -16,7 +16,7 @@ from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
 from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
-from .stability import GridSpec, ScanKind, scan_domain, stability_limit
+from .stability import GridSpec, ScanKind, stability_limit
 
 SATURATION_LOW = 1e-12
 SATURATION_HIGH = 1e2
@@ -392,12 +392,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
 
 
 # ---------------------------------------------------------------------------
-# stability maps and limits
-
-def run_scan(config: ExperimentConfig, kind: ScanKind, K: int | None = None):
-    rule = build_rule(config.family, config.M)
-    return scan_domain(kind, rule, K, config.grid)
-
+# stability limits
 
 def run_limits(config: ExperimentConfig, M_values=(2, 3, 4, 5, 6),
                K_values=(1, 2, 3, 4)):

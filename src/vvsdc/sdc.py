@@ -119,13 +119,15 @@ def march(step, u0, t0: float, t_end: float, dt: float):
     ``step(u, h)`` advances the state ``u`` by ``h`` and returns
     ``(u_next, out)``.  Time accumulates step by step (``t += h``), so
     every step but the last is exactly ``dt``.  Returns (times, outs) with
-    times[i] the end time of outs[i].
+    times[i] the end time of outs[i].  A span within the end guard
+    ``1e-12*max(1, |t_end|)`` would take no step and is a ``ValueError``.
     """
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    end = t_end - 1e-12 * max(1.0, abs(t_end))
+    if not t0 < end:
+        raise ValueError("t_end must exceed t0 by more than the step guard")
     u, t = u0, t0
     times, outs = [], []
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+    while t < end:
         h = min(dt, t_end - t)
         u, out = step(u, h)
         t += h

@@ -3,15 +3,18 @@
 All operators are assembled with dt = 1 and (kappa, mu) set to the scan
 parameters directly, so every result is a function of (dt*kappa, dt*mu)
 by construction.
+
+Every quantity is one evaluation over a stack of cells (kappa[i], mu[i]); SDC,
+Picard and collocation differ only in the preconditioner block Q_pre.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import AnalysisError
+from .errors import AnalysisError, ConfigurationError
 from .preconditioner import build_preconditioner
 from .quadrature import QuadratureRule
 
@@ -25,6 +28,10 @@ class ScanKind(Enum):
     COLLOCATION = "collocation"
 
 
+_CONVERGENCE_KINDS = (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE)
+_RUNGS = 64   # coarse rungs of stability_limit per stacked evaluation
+
+
 @dataclass(frozen=True)
 class GridSpec:
     kappa_max: float = 20.0
@@ -33,6 +40,12 @@ class GridSpec:
     mu_cells: int = 200
     kappa_min: float = 0.0
     mu_min: float = 0.0
+
+    def __post_init__(self):
+        bounds = (self.kappa_min, self.kappa_max, self.mu_min, self.mu_max)
+        if not np.all(np.isfinite(bounds)) or min(self.kappa_cells, self.mu_cells) < 1:
+            raise ConfigurationError(
+                f"grid needs finite bounds and at least one cell per axis: {self}")
 
     def kappa_axis(self):
         return np.linspace(self.kappa_min, self.kappa_max, self.kappa_cells)
@@ -48,6 +61,7 @@ class ScanResult:
     kappa: np.ndarray   # (n_kappa,)
     mu: np.ndarray      # (n_mu,)
     rho: np.ndarray     # (n_kappa, n_mu) spectral radii, NaN where assembly failed
+    failures: list = field(default_factory=list)   # (dt_kappa, dt_mu) of failed cells
 
     def stable_mask(self, tol: float = 1e-8) -> np.ndarray:
         return self.rho <= 1.0 + tol
@@ -55,28 +69,98 @@ class ScanResult:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("dt_kappa,dt_mu,rho,stable\n")
-            for i, ka in enumerate(self.kappa):
-                for j, m in enumerate(self.mu):
-                    r = self.rho[i, j]
-                    stable = int(np.isfinite(r) and r <= 1.0 + 1e-8)
-                    fh.write(f"{ka:.17g},{m:.17g},{r:.17g},{stable}\n")
+            for ka, rho_row, stable_row in zip(self.kappa, self.rho, self.stable_mask()):
+                for m, r, stable in zip(self.mu, rho_row, stable_row):
+                    fh.write(f"{ka:.17g},{m:.17g},{r:.17g},{stable:d}\n")
 
 
-def _force_operator(kappa: float, mu: float, Mp1: int) -> np.ndarray:
-    """F as a matrix on stacked (X, V): both block rows are -kappa X - mu V."""
+def _force_operator(kappa: np.ndarray, mu: np.ndarray, Mp1: int) -> np.ndarray:
+    """(N, n, n) stack of F on stacked (X, V): both block rows are -kappa X - mu V."""
     eye = np.eye(Mp1)
-    row = np.hstack([-kappa * eye, -mu * eye])
-    return np.vstack([row, row])
+    row = np.concatenate([-kappa[:, None, None] * eye, -mu[:, None, None] * eye], axis=2)
+    return np.concatenate([row, row], axis=1)
 
 
-def _blocks(rule: QuadratureRule):
-    pre = build_preconditioner(rule)
+def _blocks(rule: QuadratureRule, kind: ScanKind):
+    """(Q_pre, Q_coll, C_coll); Q_pre is velocity-Verlet, zero or Q_coll."""
     Mp1 = rule.M + 1
     O = np.zeros((Mp1, Mp1))
-    Qvv = np.block([[pre.Qx, O], [O, pre.QT]])
     Qcoll = np.block([[rule.QQ, O], [O, rule.Q]])
     Ccoll = np.block([[np.eye(Mp1), rule.Q], [O, np.eye(Mp1)]])
-    return Qvv, Qcoll, Ccoll
+    if kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE):
+        pre = build_preconditioner(rule)
+        Qpre = np.block([[pre.Qx, O], [O, pre.QT]])
+    else:
+        Qpre = Qcoll if kind is ScanKind.COLLOCATION else np.zeros_like(Qcoll)
+    return Qpre, Qcoll, Ccoll
+
+
+def _iteration(kind, rule, kappa, mu):
+    """Stacks of (I - Q_pre F)^(-1) (Q_coll - Q_pre) F and (I - Q_pre F)^(-1) C_coll."""
+    F = _force_operator(kappa, mu, rule.M + 1)
+    Qpre, Qcoll, Ccoll = _blocks(rule, kind)
+    M = np.eye(F.shape[-1]) - Qpre @ F
+    return np.linalg.solve(M, (Qcoll - Qpre) @ F), np.linalg.solve(M, Ccoll)
+
+
+def _propagator(kind, rule, K, kappa, mu) -> np.ndarray:
+    """Stacked maps from replicated U_0 to U^K, or to the collocation solution."""
+    Kmat, Minv_C = _iteration(kind, rule, kappa, mu)
+    if kind is ScanKind.COLLOCATION:
+        return Minv_C
+    eye = np.eye(Kmat.shape[-1])
+    Kpow = np.linalg.matrix_power(Kmat, K)
+    return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
+
+
+def _full_step(rule: QuadratureRule, kappa, mu, P: np.ndarray) -> np.ndarray:
+    """2x2 step matrices: the end-of-step update of the iterates P U_0."""
+    Mp1 = rule.M + 1
+    zero = np.zeros(Mp1)
+    update = np.vstack([np.concatenate([rule.qQ, zero]), np.concatenate([zero, rule.q])])
+    ones_bar = np.kron(np.eye(2), np.ones((Mp1, 1)))   # (x0, v0) -> U_0
+    free = np.array([[1.0, 1.0], [0.0, 1.0]])
+    return free + update @ _force_operator(kappa, mu, Mp1) @ P @ ones_bar
+
+
+def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Classical RK4 polynomial of the companion matrix, one 2x2 per cell."""
+    A = np.zeros((len(kappa), 2, 2))
+    A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = 1.0, -kappa, -mu
+    R = term = np.eye(2)
+    for i in range(1, 5):
+        term = term @ A / i
+        R = R + term
+    return R
+
+
+def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
+    """Stack of what ``kind`` measures: iteration, 2x2 step or RK4 matrices."""
+    if kind is ScanKind.RKN4:
+        return _rkn4(kappa, mu)
+    if kind in _CONVERGENCE_KINDS:
+        return _iteration(kind, rule, kappa, mu)[0]
+    return _full_step(rule, kappa, mu, _propagator(kind, rule, K, kappa, mu))
+
+
+def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
+    """Spectral radii over a stack of cells.  On ``LinAlgError`` (a singular or
+    non-finite cell) the stack is redone cell by cell; a failed cell reads NaN."""
+    try:
+        return np.abs(np.linalg.eigvals(_matrix(kind, rule, K, kappa, mu))).max(axis=-1)
+    except np.linalg.LinAlgError:
+        if len(kappa) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_rho(kind, rule, K, kappa[i:i + 1], mu[i:i + 1])
+                               for i in range(len(kappa))])
+
+
+def _cell(stacked, kind, rule, K, dt_kappa: float, dt_mu: float) -> np.ndarray:
+    """A stacked evaluation at one cell; a singular system is an AnalysisError."""
+    try:
+        return stacked(kind, rule, K, np.array([dt_kappa]), np.array([dt_mu]))[0]
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError(f"singular at dt*kappa={dt_kappa}, dt*mu={dt_mu}") from exc
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -91,128 +175,46 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 def build_K_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.ndarray:
     """SDC iteration matrix (I - Q_vv F)^(-1) (Q_coll - Q_vv) F at dt = 1."""
-    Qvv, Qcoll, _ = _blocks(rule)
-    F = _force_operator(dt_kappa, dt_mu, rule.M + 1)
-    try:
-        return np.linalg.solve(np.eye(2 * (rule.M + 1)) - Qvv @ F, (Qcoll - Qvv) @ F)
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError(
-            f"M_vv singular at (dt*kappa={dt_kappa}, dt*mu={dt_mu})") from exc
+    return _cell(_matrix, ScanKind.SDC_CONVERGENCE, rule, None, dt_kappa, dt_mu)
 
 
 def build_K_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.ndarray:
     """Picard iteration matrix Q_coll F; the SDC matrix with Q_vv zeroed."""
-    _, Qcoll, _ = _blocks(rule)
-    return Qcoll @ _force_operator(dt_kappa, dt_mu, rule.M + 1)
-
-
-def _propagator(Kmat: np.ndarray, Minv_C: np.ndarray, K: int) -> np.ndarray:
-    n = Kmat.shape[0]
-    Kpow = np.linalg.matrix_power(Kmat, K)
-    try:
-        tail = np.linalg.solve(np.eye(n) - Kmat, Minv_C)
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError("I - K singular: parameters on a resonance") from exc
-    return Kpow + (np.eye(n) - Kpow) @ tail
+    return _cell(_matrix, ScanKind.PICARD_CONVERGENCE, rule, None, dt_kappa, dt_mu)
 
 
 def build_P_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                 K: int) -> np.ndarray:
     """Propagator mapping the replicated initial value U_0 to the iterate U^K."""
-    Qvv, Qcoll, Ccoll = _blocks(rule)
-    F = _force_operator(dt_kappa, dt_mu, rule.M + 1)
-    n = 2 * (rule.M + 1)
-    try:
-        Minv_C = np.linalg.solve(np.eye(n) - Qvv @ F, Ccoll)
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError(
-            f"M_vv singular at (dt*kappa={dt_kappa}, dt*mu={dt_mu})") from exc
-    return _propagator(build_K_sdc(dt_kappa, dt_mu, rule), Minv_C, K)
+    return _cell(_propagator, ScanKind.SDC_STABILITY, rule, K, dt_kappa, dt_mu)
 
 
 def build_P_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                    K: int) -> np.ndarray:
-    _, _, Ccoll = _blocks(rule)
-    return _propagator(build_K_picard(dt_kappa, dt_mu, rule), Ccoll, K)
-
-
-def _update_rows(rule: QuadratureRule) -> np.ndarray:
-    Mp1 = rule.M + 1
-    top = np.concatenate([rule.qQ, np.zeros(Mp1)])
-    bot = np.concatenate([np.zeros(Mp1), rule.q])
-    return np.vstack([top, bot])
-
-
-def _ones_bar(Mp1: int) -> np.ndarray:
-    ones = np.ones((Mp1, 1))
-    zero = np.zeros((Mp1, 1))
-    return np.block([[ones, zero], [zero, ones]])
-
-
-def _full_step(rule: QuadratureRule, F: np.ndarray, P: np.ndarray) -> np.ndarray:
-    free = np.array([[1.0, 1.0], [0.0, 1.0]])
-    return free + _update_rows(rule) @ F @ P @ _ones_bar(rule.M + 1)
+    return _cell(_propagator, ScanKind.PICARD_STABILITY, rule, K, dt_kappa, dt_mu)
 
 
 def stability_function(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                        K: int, kind: ScanKind = ScanKind.SDC_STABILITY) -> np.ndarray:
     """2x2 one-step amplification matrix of a full step at dt = 1."""
-    F = _force_operator(dt_kappa, dt_mu, rule.M + 1)
-    if kind is ScanKind.SDC_STABILITY:
-        P = build_P_sdc(dt_kappa, dt_mu, rule, K)
-    elif kind is ScanKind.PICARD_STABILITY:
-        P = build_P_picard(dt_kappa, dt_mu, rule, K)
-    elif kind is ScanKind.COLLOCATION:
-        _, _, Ccoll = _blocks(rule)
-        Qcoll = _blocks(rule)[1]
-        n = 2 * (rule.M + 1)
-        try:
-            P = np.linalg.solve(np.eye(n) - Qcoll @ F, Ccoll)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError("collocation system singular") from exc
-    else:
+    if kind in _CONVERGENCE_KINDS or kind is ScanKind.RKN4:
         raise AnalysisError(f"no stability function for kind {kind}")
-    return _full_step(rule, F, P)
+    return _cell(_matrix, kind, rule, K, dt_kappa, dt_mu)
 
 
 def rkn4_amplification(dt_kappa: float, dt_mu: float) -> np.ndarray:
     """One-step matrix of classical RK4 on the companion system at dt = 1."""
-    A = np.array([[0.0, 1.0], [-dt_kappa, -dt_mu]])
-    R = np.eye(2)
-    term = np.eye(2)
-    for i in range(1, 5):
-        term = term @ A / i
-        R = R + term
-    return R
-
-
-def _cell_rho(kind: ScanKind, rule: QuadratureRule, K: int | None,
-              ka: float, mu: float) -> float:
-    if kind is ScanKind.SDC_CONVERGENCE:
-        return spectral_radius(build_K_sdc(ka, mu, rule))
-    if kind is ScanKind.PICARD_CONVERGENCE:
-        return spectral_radius(build_K_picard(ka, mu, rule))
-    if kind is ScanKind.RKN4:
-        return spectral_radius(rkn4_amplification(ka, mu))
-    return spectral_radius(stability_function(ka, mu, rule, K, kind=kind))
+    return _cell(_matrix, ScanKind.RKN4, None, None, dt_kappa, dt_mu)
 
 
 def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,
                 grid: GridSpec = GridSpec()) -> ScanResult:
     """Spectral radius of the relevant matrix on a rectangular parameter grid."""
-    kappa = grid.kappa_axis()
-    mu = grid.mu_axis()
-    rho = np.full((len(kappa), len(mu)), np.nan)
-    failures = []
-    for i, ka in enumerate(kappa):
-        for j, m in enumerate(mu):
-            try:
-                rho[i, j] = _cell_rho(kind, rule, K, ka, m)
-            except AnalysisError:
-                failures.append((ka, m))
-    result = ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho)
-    result.failures = failures
-    return result
+    kappa, mu = grid.kappa_axis(), grid.mu_axis()
+    # one stack per kappa row: a stack of the whole grid costs memory, not time
+    rho = np.stack([_rho(kind, rule, K, np.full_like(mu, ka), mu) for ka in kappa])
+    failures = [(kappa[i], mu[j]) for i, j in zip(*np.nonzero(np.isnan(rho)))]
+    return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho, failures=failures)
 
 
 def stability_limit(kind: ScanKind, rule: QuadratureRule, K: int,
@@ -229,28 +231,24 @@ def stability_limit(kind: ScanKind, rule: QuadratureRule, K: int,
     those rows are threshold-sensitive and a loose tolerance would overstate
     them severalfold.
     """
-    def stable(ka: float) -> bool:
-        try:
-            return _cell_rho(kind, rule, K, ka, 0.0) <= 1.0 + rho_tol
-        except AnalysisError:
-            return False
+    def stable(ka: np.ndarray) -> np.ndarray:
+        return _rho(kind, rule, K, ka, np.zeros_like(ka)) <= 1.0 + rho_tol
 
-    lo = 0.0
-    ka = coarse_step
-    while ka <= upper + 1e-9:
-        if not stable(ka):
+    # cumsum adds in sequence: the same floats as repeated ``ka += coarse_step``
+    ladder = np.cumsum(np.full(int(upper / coarse_step) + 2, coarse_step))
+    ladder = ladder[ladder <= upper + 1e-9]
+    # most limits lie in the first few hundred rungs: all at once costs time and memory
+    for start in range(0, len(ladder), _RUNGS):
+        coarse = stable(ladder[start:start + _RUNGS])
+        if not coarse.all():
             break
-        lo = ka
-        ka += coarse_step
     else:
         return float(upper)
-    if lo == 0.0:
+    first = start + int(np.argmin(coarse))
+    if first == 0:
         return 0.0
-    hi = ka
+    lo, hi = float(ladder[first - 1]), float(ladder[first])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if stable(np.array([mid]))[0] else (lo, mid)
     return 0.5 * (lo + hi)

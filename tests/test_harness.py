@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("line", [
+        "kappa_max = inf", "mu_max = nan", "kappa_cells = 0", "mu_cells = -1"])
+    def test_bad_grid_rejected(self, tmp_path, line):
+        path = tmp_path / "grid.ini"
+        path.write_text(f"[run]\n{line}\n")
+        with pytest.raises(ConfigurationError):
+            load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/file.ini")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vvsdc import (GridSpec, GuessStrategy, NodeFamily, ScanKind, SweeperConfig,
-                   build_K_picard, build_K_sdc, build_P_picard, build_P_sdc,
-                   build_rule, make_oscillator, rkn4_amplification, scan_domain,
-                   sdc_step, spectral_radius, stability_function,
+from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, ScanKind,
+                   SweeperConfig, build_K_picard, build_K_sdc, build_P_picard,
+                   build_P_sdc, build_rule, make_oscillator, rkn4_amplification,
+                   scan_domain, sdc_step, spectral_radius, stability_function,
                    stability_limit)
 from vvsdc.baselines import rkn4_step
 from vvsdc.collocation import solve_collocation_linear
@@ -121,14 +121,41 @@ class TestStabilityFunction:
         assert rkn4_amplification(kappa, mu) == pytest.approx(S, abs=1e-13)
 
 
+def _cell_matrix(kind, rule, K, dt_kappa, dt_mu):
+    """The public one-cell function behind each scan kind."""
+    if kind is ScanKind.SDC_CONVERGENCE:
+        return build_K_sdc(dt_kappa, dt_mu, rule)
+    if kind is ScanKind.PICARD_CONVERGENCE:
+        return build_K_picard(dt_kappa, dt_mu, rule)
+    if kind is ScanKind.RKN4:
+        return rkn4_amplification(dt_kappa, dt_mu)
+    return stability_function(dt_kappa, dt_mu, rule, K, kind=kind)
+
+
 class TestScansAndLimits:
-    def test_scan_small_grid(self):
-        grid = GridSpec(kappa_max=2.0, mu_max=2.0, kappa_cells=5, mu_cells=5)
-        res = scan_domain(ScanKind.SDC_CONVERGENCE, RULE3, None, grid)
-        assert res.rho.shape == (5, 5)
-        assert res.rho[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.isfinite(res.rho))
-        assert res.stable_mask().all()
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    def test_scan_small_grid(self, kind):
+        # every stacked cell equals the public one-cell function, exactly
+        grid = GridSpec(kappa_max=2.0, mu_max=2.0, kappa_cells=5, mu_cells=4)
+        res = scan_domain(kind, RULE3, 3, grid)
+        assert res.rho.shape == (5, 4)
+        assert np.all(np.isfinite(res.rho)) and res.failures == []
+        for i, ka in enumerate(res.kappa):
+            for j, m in enumerate(res.mu):
+                cell = _cell_matrix(kind, RULE3, 3, ka, m)
+                assert res.rho[i, j] == spectral_radius(cell)
+        if kind is ScanKind.SDC_CONVERGENCE:
+            assert res.rho[0, 0] == pytest.approx(0.0, abs=1e-12)
+            assert res.stable_mask().all()
+
+    def test_scan_fallback_on_failed_cells(self):
+        # the 1e300 row overflows; the stacked call falls back to one cell at
+        # a time, so only that row is NaN and listed as failed
+        grid = GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3)
+        res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 50, grid)
+        assert np.all(np.isfinite(res.rho[0]))
+        assert np.all(np.isnan(res.rho[1]))
+        assert res.failures == [(1e300, m) for m in res.mu]
 
     def test_scan_csv_roundtrip(self, tmp_path):
         grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=3, mu_cells=3)
@@ -146,6 +173,30 @@ class TestScansAndLimits:
         # (|lambda dt| = 2 sqrt(2) on the imaginary axis)
         limit = stability_limit(ScanKind.RKN4, RULE3, 0)
         assert limit == pytest.approx(8.0, abs=0.05)
+
+    @pytest.mark.parametrize("kind, M, K", [(ScanKind.SDC_STABILITY, 5, 3),
+                                            (ScanKind.PICARD_STABILITY, 2, 2),
+                                            (ScanKind.RKN4, 3, 0)])
+    def test_limit_matches_cell_by_cell_ladder(self, kind, M, K):
+        # reference: the coarse ladder and the bisection one public cell at a
+        # time; these limits lie past the first stack of coarse rungs
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+
+        def stable(ka):
+            try:
+                rho = spectral_radius(_cell_matrix(kind, rule, K, ka, 0.0))
+            except AnalysisError:
+                return False
+            return rho <= 1.0 + 1.5e-11
+        lo, ka = 0.0, 0.1
+        while stable(ka):
+            lo, ka = ka, ka + 0.1
+        assert lo > 6.4
+        hi = ka
+        while hi - lo > 0.01:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+        assert stability_limit(kind, rule, K) == 0.5 * (lo + hi)
 
     def test_limit_zero_when_immediately_unstable(self):
         rule2 = build_rule(NodeFamily.GAUSS_LEGENDRE, 2)
