@@ -5,7 +5,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
 from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
-from .stability import GridSpec, ScanKind, stability_limit
+from .stability import GridSpec, ScanKind, ScanResult, stability_limit
 
 SATURATION_LOW = 1e-12
 SATURATION_HIGH = 1e2
@@ -27,7 +27,6 @@ SATURATION_HIGH = 1e2
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "global-order"
     problem: str = "penning"            # "penning" | "oscillator"
     kappa: float = 1.0
     mu: float = 0.0
@@ -43,7 +42,6 @@ class ExperimentConfig:
     hamiltonian_dt: float = 2.0 * math.pi / 10.0
     methods: tuple = ("sdc", "picard", "rkn4")
     grid: GridSpec = field(default_factory=GridSpec)
-    out: str | None = None
 
     def make_problem(self) -> SecondOrderIVP:
         if self.problem == "oscillator":
@@ -62,79 +60,88 @@ class ExperimentConfig:
                              initial_guess=self.initial_guess, seed=self.seed)
 
 
-_KNOWN_KEYS = {
-    "problem": {"kind", "kappa", "mu", "omega_b", "omega_e", "epsilon",
-                "alpha", "x0", "v0"},
-    "rule": {"family", "m"},
-    "sweeper": {"k", "k_list", "initial_guess", "seed"},
-    "run": {"kind", "dt_list", "t_end", "n_steps", "hamiltonian_dt",
-            "methods", "out", "kappa_max", "mu_max", "kappa_cells",
-            "mu_cells"},
+def _values(kind):
+    def parse(text):
+        values = tuple(kind(x) for x in text.split())
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+    return parse
+
+
+# The config schema: [section] key -> (ExperimentConfig field, or a field of
+# its ``penning``/``grid`` member, and the parser of the value).  Keys are
+# applied in this order, so ``k_list`` wins over ``k``.
+CONFIG_KEYS = {
+    ("problem", "kind"): ("problem", str),
+    ("problem", "kappa"): ("kappa", float),
+    ("problem", "mu"): ("mu", float),
+    ("problem", "omega_b"): ("penning.omega_b", float),
+    ("problem", "omega_e"): ("penning.omega_e", float),
+    ("problem", "epsilon"): ("penning.epsilon", float),
+    ("problem", "alpha"): ("penning.alpha", float),
+    ("problem", "x0"): ("penning.x0", _values(float)),
+    ("problem", "v0"): ("penning.v0", _values(float)),
+    ("rule", "family"): ("family", NodeFamily.from_name),
+    ("rule", "m"): ("M", int),
+    ("sweeper", "k"): ("K_list", lambda text: (int(text),)),
+    ("sweeper", "k_list"): ("K_list", _values(int)),
+    ("sweeper", "initial_guess"): ("initial_guess", lambda text: GuessStrategy(text.lower())),
+    ("sweeper", "seed"): ("seed", int),
+    ("run", "dt_list"): ("dt_list", _values(float)),
+    ("run", "t_end"): ("t_end", float),
+    ("run", "n_steps"): ("n_steps", int),
+    ("run", "hamiltonian_dt"): ("hamiltonian_dt", float),
+    ("run", "methods"): ("methods", _values(str)),
+    ("run", "kappa_max"): ("grid.kappa_max", float),
+    ("run", "mu_max"): ("grid.mu_max", float),
+    ("run", "kappa_cells"): ("grid.kappa_cells", int),
+    ("run", "mu_cells"): ("grid.mu_cells", int),
 }
 
-_GUESS_NAMES = {"copy": GuessStrategy.COPY_INITIAL,
-                "verlet": GuessStrategy.VERLET_SWEEP,
-                "random": GuessStrategy.RANDOM}
+
+def _with(obj, path: str, value):
+    """Copy of the dataclass ``obj`` with the dotted field ``path`` set."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _with(getattr(obj, name), rest, value) if rest else value})
+
+
+def read_settings(path: str) -> dict:
+    """``{(section, key): text}`` of a config file; unknown sections or keys are errors."""
+    parser = configparser.ConfigParser()
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
+    if not found:
+        raise ConfigurationError(f"cannot read config file {path}")
+    sections = {section for section, _ in CONFIG_KEYS}
+    settings = {}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for key, text in parser[section].items():
+            if (section, key) not in CONFIG_KEYS:
+                raise ConfigurationError(f"unknown key {key!r} in [{section}]")
+            settings[section, key] = text
+    return settings
+
+
+def apply_settings(config: ExperimentConfig, settings: dict) -> ExperimentConfig:
+    """``config`` with ``{(section, key): text}`` settings parsed and applied."""
+    for (section, key), (path, parse) in CONFIG_KEYS.items():
+        if (section, key) in settings:
+            text = settings[section, key]
+            try:
+                config = _with(config, path, parse(text))
+            except ValueError as exc:   # ConfigurationError included
+                raise ConfigurationError(f"[{section}] {key} = {text!r}: {exc}") from exc
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse a key-value config file; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigurationError(f"unknown key {key!r} in [{section}]")
-    cfg = ExperimentConfig()
-    p = parser
-    if p.has_section("problem"):
-        s = p["problem"]
-        cfg.problem = s.get("kind", cfg.problem)
-        cfg.kappa = s.getfloat("kappa", cfg.kappa)
-        cfg.mu = s.getfloat("mu", cfg.mu)
-        pen = cfg.penning
-        cfg.penning = PenningParams(
-            omega_b=s.getfloat("omega_b", pen.omega_b),
-            omega_e=s.getfloat("omega_e", pen.omega_e),
-            epsilon=s.getfloat("epsilon", pen.epsilon),
-            alpha=s.getfloat("alpha", pen.alpha),
-            x0=tuple(float(x) for x in s.get("x0", "10 0 0").split()),
-            v0=tuple(float(x) for x in s.get("v0", "100 0 100").split()),
-        )
-    if p.has_section("rule"):
-        s = p["rule"]
-        cfg.family = NodeFamily.from_name(s.get("family", "legendre"))
-        cfg.M = s.getint("m", cfg.M)
-    if p.has_section("sweeper"):
-        s = p["sweeper"]
-        if "k_list" in s:
-            cfg.K_list = tuple(int(x) for x in s["k_list"].split())
-        elif "k" in s:
-            cfg.K_list = (s.getint("k"),)
-        guess = s.get("initial_guess", "random").lower()
-        if guess not in _GUESS_NAMES:
-            raise ConfigurationError(f"unknown initial_guess {guess!r}")
-        cfg.initial_guess = _GUESS_NAMES[guess]
-        cfg.seed = s.getint("seed", cfg.seed)
-    if p.has_section("run"):
-        s = p["run"]
-        cfg.kind = s.get("kind", cfg.kind)
-        if "dt_list" in s:
-            cfg.dt_list = tuple(float(x) for x in s["dt_list"].split())
-        cfg.t_end = s.getfloat("t_end", cfg.t_end)
-        cfg.n_steps = s.getint("n_steps", cfg.n_steps)
-        cfg.hamiltonian_dt = s.getfloat("hamiltonian_dt", cfg.hamiltonian_dt)
-        if "methods" in s:
-            cfg.methods = tuple(s["methods"].split())
-        cfg.out = s.get("out", cfg.out)
-        cfg.grid = GridSpec(kappa_max=s.getfloat("kappa_max", 20.0),
-                            mu_max=s.getfloat("mu_max", 20.0),
-                            kappa_cells=s.getint("kappa_cells", 200),
-                            mu_cells=s.getint("mu_cells", 200))
-    return cfg
+    """The defaults of ExperimentConfig with a config file applied."""
+    return apply_settings(ExperimentConfig(), read_settings(path))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +377,9 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     runs, whereas the verlet start keeps every K in the K=2..4 range
     conservative.
     """
-    if config.problem != "oscillator" or config.mu != 0.0:
-        raise ConfigurationError("Hamiltonian drift study needs the undamped oscillator")
+    if config.problem != "oscillator" or config.kappa != 1.0 or config.mu != 0.0:
+        raise ConfigurationError(
+            "Hamiltonian drift study needs the undamped oscillator with kappa = 1")
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
     out = []
@@ -448,3 +456,11 @@ def order_report_rows(report: OrderReport):
     for i, dt in enumerate(report.dts):
         rows.append([float(dt)] + [float(report.errors[lbl][i]) for lbl in labels])
     return header, rows
+
+
+def scan_rows(result: ScanResult):
+    """One row per grid cell, kappa-major; ``rows`` is a generator."""
+    rows = ([ka, m, r, int(stable)]
+            for ka, rho_row, stable_row in zip(result.kappa, result.rho, result.stable_mask())
+            for m, r, stable in zip(result.mu, rho_row, stable_row))
+    return ["dt_kappa", "dt_mu", "rho", "stable"], rows

@@ -92,6 +92,8 @@ class PenningParams:
     def __post_init__(self):
         if self.alpha == 0:
             raise ConfigurationError("charge-to-mass ratio alpha must be nonzero")
+        if len(self.x0) != 3 or len(self.v0) != 3:
+            raise ConfigurationError("Penning x0 and v0 need 3 components each")
 
 
 def make_penning(params: PenningParams = PenningParams()) -> SecondOrderIVP:

@@ -66,13 +66,6 @@ class ScanResult:
     def stable_mask(self, tol: float = 1e-8) -> np.ndarray:
         return self.rho <= 1.0 + tol
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("dt_kappa,dt_mu,rho,stable\n")
-            for ka, rho_row, stable_row in zip(self.kappa, self.rho, self.stable_mask()):
-                for m, r, stable in zip(self.mu, rho_row, stable_row):
-                    fh.write(f"{ka:.17g},{m:.17g},{r:.17g},{stable:d}\n")
-
 
 def _force_operator(kappa: np.ndarray, mu: np.ndarray, Mp1: int) -> np.ndarray:
     """(N, n, n) stack of F on stacked (X, V): both block rows are -kappa X - mu V."""

@@ -1,8 +1,29 @@
+import os
+
 import numpy as np
 import pytest
 
-from vvsdc.cli import main
+from vvsdc.cli import COMMANDS, main
 from vvsdc.harness import read_csv
+
+TINY = ("[problem]\nkind = oscillator\n"
+        "[run]\ndt_list = 0.1 0.05 0.025 0.0125\nt_end = 0.5\nn_steps = 200\n"
+        "kappa_max = 2\nmu_max = 2\nkappa_cells = 3\nmu_cells = 3\n")
+
+
+def _run(tmp_path, command, ini, *flags):
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+    return code, out
+
+
+def _listed(out):
+    """Experiment -> file name of every summary.csv row."""
+    header, rows = read_csv(str(out / "summary.csv"))
+    assert header == ["experiment", "file"]
+    return {row[0]: os.path.basename(row[1]) for row in rows}
 
 
 def test_nodes_command(tmp_path):
@@ -73,3 +94,44 @@ def test_local_order_command(tmp_path):
     summary_header, summary_rows = read_csv(str(out / "summary.csv"))
     assert summary_header == ["experiment", "file"]
     assert len(summary_rows) == 2
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_lists_its_files(tmp_path, command):
+    code, out = _run(tmp_path, command, TINY)
+    assert code == 0
+    written = set(os.listdir(out)) - {"summary.csv"}
+    assert sorted(_listed(out).values()) == sorted(written)
+    assert written
+
+
+@pytest.mark.parametrize("ini", ["[rule]\nm = abc\n", "[problem]\nx0 = 1 2\n",
+                                 "[run]\nout = elsewhere\n"],
+                         ids=["m", "x0", "out"])
+def test_malformed_config_exits_2(tmp_path, ini):
+    assert _run(tmp_path, "nodes", ini)[0] == 2
+
+
+def test_hamiltonian_takes_k_list_from_file(tmp_path):
+    code, out = _run(tmp_path, "hamiltonian", TINY + "[sweeper]\nk_list = 2\n")
+    assert code == 0
+    assert set(_listed(out)) == {"hamiltonian-sdc_M3_K2", "hamiltonian-sdc_M5_K2",
+                                 "hamiltonian-rkn4", "hamiltonian-summary"}
+
+
+def test_hamiltonian_rejects_penning_from_file(tmp_path):
+    ini = TINY.replace("kind = oscillator", "kind = penning")
+    assert _run(tmp_path, "hamiltonian", ini)[0] == 2
+
+
+def test_stability_map_takes_k_from_file(tmp_path):
+    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk = 3\n")
+    assert code == 0
+    assert _listed(out) == {"sdc-stability_K3": "sdc-stability_K3.csv"}
+
+
+def test_flags_outrank_file(tmp_path):
+    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk = 3\n",
+                     "--K", "2", "--M", "2")
+    assert code == 0
+    assert _listed(out) == {"sdc-stability_K2": "sdc-stability_K2.csv"}

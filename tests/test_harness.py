@@ -1,12 +1,18 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vvsdc import (ConfigurationError, GuessStrategy, NodeFamily,
                    SweeperConfig, build_rule, integrate)
-from vvsdc.harness import (ExperimentConfig, fit_slope, load_config,
-                           order_report_rows, read_csv, run_global_order,
-                           run_hamiltonian_drift, run_local_order,
-                           run_work_precision, write_csv)
+from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, fit_slope,
+                           load_config, order_report_rows, read_csv,
+                           run_global_order, run_hamiltonian_drift,
+                           run_local_order, run_work_precision, write_csv)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfig:
@@ -57,6 +63,50 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             load_config("/nonexistent/file.ini")
+
+    @pytest.mark.parametrize("text", [
+        "[rule]\nm = abc\n", "[run]\ndt_list = 0.1 x\n",
+        "[sweeper]\ninitial_guess = bogus\n", "[problem]\nx0 = 1 2\n",
+        "[problem]\nv0 = 1 2 3 4\n", "[sweeper]\nk_list =\n", "[run]\nmethods =\n",
+        "m = 3\n"],
+        ids=["m", "dt_list", "initial_guess", "x0", "v0", "empty_k_list", "empty_methods",
+             "no_section"])
+    def test_malformed_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("line", ["kind = global-order", "out = results"])
+    def test_dead_run_keys_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[run]\n{line}\n")
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            load_config(str(path))
+
+    def test_k_list_wins_over_k(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[sweeper]\nk_list = 2 4\nk = 3\n")
+        assert load_config(str(path)).K_list == (2, 4)
+
+    def test_nested_fields_keep_their_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nomega_b = 5\n[run]\nmu_cells = 7\n")
+        cfg = load_config(str(path))
+        default = ExperimentConfig()
+        assert cfg.penning == replace(default.penning, omega_b=5.0)
+        assert cfg.grid == replace(default.grid, mu_cells=7)
+
+    def test_readme_matches_schema(self, tmp_path):
+        text = README.read_text()
+        example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = load_config(str(path))
+        assert cfg.K_list == (1, 2, 3) and len(cfg.dt_list) == 4
+        # the key table: one "| `[section]` | `key` | ..." row per schema key
+        documented = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", text, re.M)
+        assert documented == list(CONFIG_KEYS)
 
 
 class TestFitSlope:
@@ -133,6 +183,11 @@ class TestHamiltonianDrift:
     def test_requires_undamped_oscillator(self):
         with pytest.raises(ConfigurationError):
             run_hamiltonian_drift(ExperimentConfig(problem="penning"))
+
+    def test_requires_unit_stiffness(self):
+        # the energy 0.5 (x^2 + v^2) and the 2 pi / 10 step assume kappa = 1
+        with pytest.raises(ConfigurationError):
+            run_hamiltonian_drift(ExperimentConfig(problem="oscillator", kappa=2.0))
 
     def test_short_run_is_bounded(self):
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,

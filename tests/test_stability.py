@@ -8,6 +8,7 @@ from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, ScanKind,
                    stability_limit)
 from vvsdc.baselines import rkn4_step
 from vvsdc.collocation import solve_collocation_linear
+from vvsdc.harness import scan_rows, write_csv
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 
@@ -161,7 +162,7 @@ class TestScansAndLimits:
         grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=3, mu_cells=3)
         res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 2, grid)
         path = tmp_path / "scan.csv"
-        res.write_csv(path)
+        write_csv(str(path), *scan_rows(res))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "dt_kappa,dt_mu,rho,stable"
         assert len(lines) == 1 + 9
