@@ -40,19 +40,36 @@ class StepResult:
     final_residual: float
 
 
+def _vector(w, d):
+    """A fresh float (d,) copy of ``w``; a scalar or length-1 ``w`` is broadcast."""
+    w = np.array(w, dtype=float)
+    return w if w.shape == (d,) else np.broadcast_to(w, (d,)).copy()
+
+
 def _as_u0(u0, d):
     x0, v0 = u0
-    return np.broadcast_to(np.atleast_1d(x0), (d,)).astype(float), \
-        np.broadcast_to(np.atleast_1d(v0), (d,)).astype(float)
+    return _vector(x0, d), _vector(v0, d)
+
+
+def _rows(w, n):
+    """``n`` stacked copies of the (d,) vector ``w`` as an (n, d) array."""
+    return np.repeat(w[None, :], n, axis=0)
+
+
+def _within_guard(state: NodeState) -> bool:
+    """Whether every node value is finite and at most DIVERGENCE_GUARD in size.
+
+    NaN compares false, so a NaN iterate is outside the guard too.
+    """
+    return (np.abs(state.X).max() <= DIVERGENCE_GUARD
+            and np.abs(state.V).max() <= DIVERGENCE_GUARD)
 
 
 def free_flight(u0, dt: float, rule: QuadratureRule, d: int) -> NodeState:
     """Node values for f = 0: X_m = x0 + dt tau_m v0, V_m = v0."""
     x0, v0 = _as_u0(u0, d)
-    tau = np.concatenate(([0.0], rule.nodes))
-    X = x0[None, :] + dt * tau[:, None] * v0[None, :]
-    V = np.broadcast_to(v0, (rule.M + 1, d)).copy()
-    return NodeState(X, V)
+    X = x0 + dt * rule.tau[:, None] * v0
+    return NodeState(X, _rows(v0, rule.M + 1))
 
 
 def collocation_residual(problem: SecondOrderIVP, state: NodeState, u0,
@@ -60,10 +77,8 @@ def collocation_residual(problem: SecondOrderIVP, state: NodeState, u0,
     """Infinity-norm residual of the collocation system at ``state``."""
     x0, v0 = _as_u0(u0, problem.d)
     F = problem.f_nodes(state.X, state.V) if forces is None else forces
-    tau = np.concatenate(([0.0], rule.nodes))
-    r_x = state.X - x0[None, :] - dt * tau[:, None] * v0[None, :] \
-        - dt * dt * (rule.QQ @ F)
-    r_v = state.V - v0[None, :] - dt * (rule.Q @ F)
+    r_x = state.X - x0 - dt * rule.tau[:, None] * v0 - dt * dt * (rule.QQ @ F)
+    r_v = state.V - v0 - dt * (rule.Q @ F)
     return max(np.max(np.abs(r_x)), np.max(np.abs(r_v)))
 
 
@@ -120,8 +135,9 @@ def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
         delta = max(np.max(np.abs(X_new - state.X)), np.max(np.abs(V_new - state.V)))
         trace.append(delta)
         state = NodeState(X_new, V_new)
-        if np.max(np.abs(X_new)) > DIVERGENCE_GUARD or np.max(np.abs(V_new)) > DIVERGENCE_GUARD:
-            raise DivergenceError(f"Picard iterate exceeded {DIVERGENCE_GUARD:g} at k={k}")
+        if not _within_guard(state):
+            raise DivergenceError(
+                f"Picard iterate exceeded {DIVERGENCE_GUARD:g} or is not finite at k={k}")
         F = np.vstack([F[:1], problem.f_nodes(state.X[1:], state.V[1:])])
         k += 1
         if tol is not None and delta <= tol:

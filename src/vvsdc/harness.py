@@ -60,6 +60,13 @@ class ExperimentConfig:
                              initial_guess=self.initial_guess, seed=self.seed)
 
 
+def _positive(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"needs a positive finite value, got {value!r}")
+    return value
+
+
 def _values(kind):
     def parse(text):
         values = tuple(kind(x) for x in text.split())
@@ -88,10 +95,10 @@ CONFIG_KEYS = {
     ("sweeper", "k_list"): ("K_list", _values(int)),
     ("sweeper", "initial_guess"): ("initial_guess", lambda text: GuessStrategy(text.lower())),
     ("sweeper", "seed"): ("seed", int),
-    ("run", "dt_list"): ("dt_list", _values(float)),
-    ("run", "t_end"): ("t_end", float),
+    ("run", "dt_list"): ("dt_list", _values(_positive)),
+    ("run", "t_end"): ("t_end", _positive),
     ("run", "n_steps"): ("n_steps", int),
-    ("run", "hamiltonian_dt"): ("hamiltonian_dt", float),
+    ("run", "hamiltonian_dt"): ("hamiltonian_dt", _positive),
     ("run", "methods"): ("methods", _values(str)),
     ("run", "kappa_max"): ("grid.kappa_max", float),
     ("run", "mu_max"): ("grid.mu_max", float),

@@ -20,11 +20,13 @@ class PreconditionerMatrices:
     QT: np.ndarray    # (QE + QI) / 2, trapezoidal force weights
     Qx: np.ndarray    # QE @ QT + (QE * QE) / 2, position weights
     dtau: np.ndarray  # (M,) node spacings on the unit interval
+    QQ_Qx: np.ndarray  # rule.QQ - Qx, position correction block of a sweep
+    Q_QT: np.ndarray   # rule.Q - QT, velocity correction block of a sweep
 
 
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
     M = rule.M
-    dtau = np.diff(np.concatenate(([0.0], rule.nodes)))
+    dtau = np.diff(rule.tau)
     QE = np.zeros((M + 1, M + 1))
     QI = np.zeros((M + 1, M + 1))
     for m in range(1, M + 1):
@@ -32,7 +34,8 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
         QI[m, 1:m + 1] = dtau[:m]
     QT = 0.5 * (QE + QI)
     Qx = QE @ QT + 0.5 * QE * QE
-    return PreconditionerMatrices(QE=QE, QI=QI, QT=QT, Qx=Qx, dtau=dtau)
+    return PreconditionerMatrices(QE=QE, QI=QI, QT=QT, Qx=Qx, dtau=dtau,
+                                  QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
 
 
 def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, node):
@@ -68,11 +71,12 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
     Mp1 = rhs_x.shape[0]
     X = np.array(rhs_x, dtype=float)
     V = np.array(rhs_v, dtype=float)
-    F = np.zeros_like(X)
+    F = np.empty_like(X)   # every row is set below
     F[0] = problem.f(X[0], V[0]) if f0 is None else np.asarray(f0, float)
     QT, Qx = matrices.QT, matrices.Qx
+    dt2 = dt * dt
     for m in range(1, Mp1):
-        X[m] = rhs_x[m] + dt * dt * (Qx[m, :m] @ F[:m])
+        X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
         b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
         V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt * QT[m, m], m)
     return X, V, F

@@ -34,6 +34,7 @@ class QuadratureRule:
     family: NodeFamily
     M: int
     nodes: np.ndarray  # (M,) strictly increasing in [0, 1]
+    tau: np.ndarray    # (M+1,) padded nodes [0, tau_1, ..., tau_M]
     Q: np.ndarray      # (M+1, M+1), zero first row/column
     QQ: np.ndarray     # Q @ Q
     q: np.ndarray      # (M+1,) update weights, leading zero
@@ -104,5 +105,6 @@ def build_rule(family: NodeFamily, M: int) -> QuadratureRule:
         Q[m + 1, 1:] = _lagrange_integrals(nodes, nodes[m], gl_x, gl_w)
     q = np.zeros(M + 1)
     q[1:] = _lagrange_integrals(nodes, 1.0, gl_x, gl_w)
-    return QuadratureRule(family=family, M=M, nodes=nodes, Q=Q, QQ=Q @ Q,
+    return QuadratureRule(family=family, M=M, nodes=nodes,
+                          tau=np.concatenate(([0.0], nodes)), Q=Q, QQ=Q @ Q,
                           q=q, qQ=q @ Q)

@@ -1,13 +1,15 @@
 """The preconditioned iteration: sweeps, starting values, steps, integration."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .collocation import (DIVERGENCE_GUARD, NodeState, StepResult, _as_u0,
-                          collocation_residual, free_flight, update_step)
+                          _rows, _within_guard, collocation_residual,
+                          free_flight, update_step)
 from .errors import DivergenceError
 from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
@@ -50,14 +52,12 @@ def initial_guess(strategy: GuessStrategy, u0, problem: SecondOrderIVP,
     """Starting iterate U^0 plus its node forces."""
     x0, v0 = _as_u0(u0, problem.d)
     if strategy is GuessStrategy.COPY_INITIAL:
-        X = np.tile(x0, (Mp1, 1))
-        V = np.tile(v0, (Mp1, 1))
         f0 = problem.f(x0, v0)
-        return NodeState(X, V), np.tile(f0, (Mp1, 1))
+        return NodeState(_rows(x0, Mp1), _rows(v0, Mp1)), _rows(f0, Mp1)
     if strategy is GuessStrategy.VERLET_SWEEP:
-        rhs_x = np.tile(x0, (Mp1, 1)) + dt * np.cumsum(
-            np.concatenate(([0.0], matrices.dtau)))[:, None] * v0[None, :]
-        rhs_v = np.tile(v0, (Mp1, 1))
+        rhs_x = _rows(x0, Mp1) + dt * np.cumsum(
+            np.concatenate(([0.0], matrices.dtau)))[:, None] * v0
+        rhs_v = _rows(v0, Mp1)
         X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, matrices)
         return NodeState(X, V), F
     if strategy is GuessStrategy.RANDOM:
@@ -80,8 +80,8 @@ def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
     rule, pre = config.rule, config.matrices
     Fk = problem.f_nodes(prev.X, prev.V) if prev_forces is None else prev_forces
     ff = free_flight(u0, dt, rule, problem.d)
-    rhs_x = ff.X + dt * dt * ((rule.QQ - pre.Qx) @ Fk)
-    rhs_v = ff.V + dt * ((rule.Q - pre.QT) @ Fk)
+    rhs_x = ff.X + dt * dt * (pre.QQ_Qx @ Fk)
+    rhs_v = ff.V + dt * (pre.Q_QT @ Fk)
     X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, f0=Fk[0])
     return NodeState(X, V), F
 
@@ -97,9 +97,9 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     for _ in range(config.K):
         state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F)
         iterations += 1
-        if np.max(np.abs(state.X)) > DIVERGENCE_GUARD or \
-                np.max(np.abs(state.V)) > DIVERGENCE_GUARD:
-            raise DivergenceError(f"SDC iterate exceeded {DIVERGENCE_GUARD:g}")
+        if not _within_guard(state):
+            raise DivergenceError(
+                f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite")
         if config.residual_tol is not None:
             residual = collocation_residual(problem, state, u0, dt,
                                             config.rule, forces=F)
@@ -119,9 +119,12 @@ def march(step, u0, t0: float, t_end: float, dt: float):
     ``step(u, h)`` advances the state ``u`` by ``h`` and returns
     ``(u_next, out)``.  Time accumulates step by step (``t += h``), so
     every step but the last is exactly ``dt``.  Returns (times, outs) with
-    times[i] the end time of outs[i].  A span within the end guard
-    ``1e-12*max(1, |t_end|)`` would take no step and is a ``ValueError``.
+    times[i] the end time of outs[i].  A ``dt`` that is not positive and
+    finite, or a span within the end guard ``1e-12*max(1, |t_end|)``, would
+    never end or take no step and is a ``ValueError``.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     end = t_end - 1e-12 * max(1.0, abs(t_end))
     if not t0 < end:
         raise ValueError("t_end must exceed t0 by more than the step guard")

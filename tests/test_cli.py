@@ -135,3 +135,25 @@ def test_flags_outrank_file(tmp_path):
                      "--K", "2", "--M", "2")
     assert code == 0
     assert _listed(out) == {"sdc-stability_K2": "sdc-stability_K2.csv"}
+
+
+@pytest.mark.parametrize("ini, flags", [
+    ("[run]\ndt_list = 0\n", ()),
+    ("[run]\ndt_list = 0.1 -0.1\n", ()),
+    ("[run]\ndt_list = nan\n", ()),
+    ("", ("--dt", "0")),
+    ("", ("--dt", "-0.1")),
+    ("", ("--dt", "inf")),
+    ("[run]\nhamiltonian_dt = 0\n", ()),
+    ("[run]\nhamiltonian_dt = nan\n", ()),
+], ids=["file-zero", "file-negative", "file-nan", "flag-zero", "flag-negative", "flag-inf",
+        "hamiltonian-zero", "hamiltonian-nan"])
+def test_bad_dt_exits_2(tmp_path, ini, flags):
+    # nodes reads the whole config but never steps, so a parser that lets
+    # the bad dt through fails this test instead of hanging it
+    assert _run(tmp_path, "nodes", ini, *flags)[0] == 2
+
+
+@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
+def test_bad_t_end_exits_2(tmp_path, t_end):
+    assert _run(tmp_path, "integrate", f"[run]\nt_end = {t_end}\n")[0] == 2

@@ -1,14 +1,17 @@
+import math
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from vvsdc import (DivergenceError, GuessStrategy, NodeFamily, NodeState,
-                   SweeperConfig, build_preconditioner, build_rule,
-                   collocation_residual, free_flight, initial_guess, integrate,
-                   make_oscillator, make_penning, picard_iterate, sdc_step,
-                   sdc_sweep, solve_collocation_linear, update_step)
+                   SecondOrderIVP, SweeperConfig, build_preconditioner,
+                   build_rule, collocation_residual, free_flight, initial_guess,
+                   integrate, make_oscillator, make_penning, picard_iterate,
+                   sdc_step, sdc_sweep, solve_collocation_linear, update_step)
 from vvsdc.baselines import integrate_rkn4, integrate_verlet, verlet_step
+from vvsdc.collocation import _as_u0
 from vvsdc.problems import _linear_problem
 from vvsdc.sdc import march
 
@@ -182,6 +185,62 @@ class TestStep:
         with pytest.raises(DivergenceError):
             sdc_step(problem, u0, 1.0, cfg)
 
+    @pytest.mark.parametrize("run", [
+        lambda problem, u0: sdc_step(problem, u0, 0.1, SweeperConfig(rule=RULE3, K=3)),
+        lambda problem, u0: picard_iterate(problem, u0, 0.1, RULE3, K=3),
+    ], ids=["sdc_step", "picard_iterate"])
+    def test_nan_iterate_is_divergence(self, run):
+        # sqrt(x - 2) is NaN at x0 = 1, and NaN compares false with any bound
+        problem = SecondOrderIVP(d=1, force=lambda x, v: np.sqrt(x - 2.0),
+                                 velocity_dependent=np.zeros(1, dtype=bool))
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            run(problem, (np.array([1.0]), np.array([0.0])))
+
+
+def _mirror_like():
+    """A nonlinear force that depends on the velocity: v x B(x) with a
+    position-dependent field, so node solves take the fixed-point branch."""
+    def force(x, v):
+        return np.cross(v, np.array([-0.1 * x[0] * x[2], -0.1 * x[1] * x[2],
+                                     2.0 + 0.1 * x[2] * x[2]]))
+    return SecondOrderIVP(d=3, force=force, velocity_dependent=np.ones(3, dtype=bool))
+
+
+class TestBitIdentity:
+    """sdc_step is exactly its documented composition; no step may round
+    differently from initial_guess -> sdc_sweep x K -> update_step."""
+
+    @pytest.mark.parametrize("strategy", list(GuessStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("make", [make_penning, _mirror_like], ids=["penning", "mirror"])
+    def test_step_is_its_composition(self, make, strategy):
+        u0 = (np.array([1.0, 2.0, -1.0]), np.array([3.0, -2.0, 5.0]))
+        dt = 0.02
+        cfg = SweeperConfig(rule=RULE3, K=3, initial_guess=strategy, seed=7)
+        res = sdc_step(make(), u0, dt, cfg)
+        problem = make()
+        state, F = initial_guess(strategy, u0, problem, dt, cfg.matrices,
+                                 RULE3.M + 1, cfg.seed)
+        for _ in range(cfg.K):
+            state, F = sdc_sweep(problem, state, u0, dt, cfg, prev_forces=F)
+        x_end, v_end = update_step(state, u0, dt, RULE3, forces=F)
+        assert np.array_equal(res.x_end, x_end) and np.array_equal(res.v_end, v_end)
+        assert res.final_residual == collocation_residual(problem, state, u0, dt,
+                                                          RULE3, forces=F)
+        assert res.f_evals == problem.f_evals and res.iterations_used == cfg.K
+
+    def test_as_u0_copies_and_broadcasts(self):
+        x0, v0 = np.array([1.0, 2.0, 3.0]), np.array([4, 5, 6])
+        x, v = _as_u0((x0, v0), 3)
+        assert x.dtype == v.dtype == np.float64
+        assert np.array_equal(x, x0) and np.array_equal(v, v0)
+        x[:] = 0.0
+        v[:] = 0.0
+        assert np.array_equal(x0, [1.0, 2.0, 3.0]) and np.array_equal(v0, [4, 5, 6])
+        x, v = _as_u0((2.0, np.array([-1.0])), 3)
+        assert np.array_equal(x, [2.0, 2.0, 2.0]) and np.array_equal(v, [-1.0, -1.0, -1.0])
+        x[0] = 0.0
+        assert x[1] == 2.0
+
 
 class TestIntegrate:
     def test_one_step_equals_sdc_step(self):
@@ -220,6 +279,20 @@ class TestIntegrate:
         for t_end in (1.0, 0.5, 1.0 + 1e-13):
             with pytest.raises(ValueError):
                 run(problem, (np.array([1.0]), np.array([0.0])), 1.0, t_end, 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_march_rejects_bad_dt(dt):
+    calls = []
+
+    def step(u, h):
+        calls.append(h)
+        if len(calls) > 1000:   # dt <= 0 would never reach t_end
+            raise RuntimeError("march does not end")
+        return u, None
+    with pytest.raises(ValueError):
+        march(step, None, 0.0, 1.0, dt)
+    assert not calls
 
 
 @settings(deadline=None)
