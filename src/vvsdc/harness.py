@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import integrate_rkn4, integrate_verlet, rkn4_step
-from .collocation import picard_iterate, update_step
+from .baselines import integrate_verlet, rkn4_step
+from .collocation import DIVERGENCE_GUARD, picard_iterate, update_step
 from .errors import ConfigurationError, DivergenceError
 from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
@@ -67,6 +67,13 @@ def _positive(text):
     return value
 
 
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"needs a count of at least 1, got {value}")
+    return value
+
+
 def _values(kind):
     def parse(text):
         values = tuple(kind(x) for x in text.split())
@@ -97,7 +104,7 @@ CONFIG_KEYS = {
     ("sweeper", "seed"): ("seed", int),
     ("run", "dt_list"): ("dt_list", _values(_positive)),
     ("run", "t_end"): ("t_end", _positive),
-    ("run", "n_steps"): ("n_steps", int),
+    ("run", "n_steps"): ("n_steps", _count),
     ("run", "hamiltonian_dt"): ("hamiltonian_dt", _positive),
     ("run", "methods"): ("methods", _values(str)),
     ("run", "kappa_max"): ("grid.kappa_max", float),
@@ -252,12 +259,101 @@ def run_global_order(config: ExperimentConfig) -> OrderReport:
 
 
 # ---------------------------------------------------------------------------
+# linear step maps
+#
+# A ``step((x, v), h) -> (x', v')`` of a fixed-cost method on a linear problem
+# is an affine map of u = (x, v); the drivers below probe it once per step
+# size instead of stepping through Python thousands of times.
+
+def _sdc_stepper(problem: SecondOrderIVP, sweeper: SweeperConfig):
+    def step(u, h):
+        res = sdc_step(problem, u, h, sweeper)
+        return res.x_end, res.v_end
+    return step
+
+
+def _rkn4_stepper(problem: SecondOrderIVP):
+    return lambda u, h: rkn4_step(problem, *u, h)
+
+
+def _step_map(problem: SecondOrderIVP, step, h: float):
+    """The map ``u <- S u + c`` that ``step`` takes on a linear problem.
+
+    ``step`` is probed at u = 0, which gives ``c``, and at the 2d unit
+    vectors, which give the columns of ``S`` (u = (x, v) stacked).  Returns
+    (S, c, evals_per_step).  A problem without linear parts, or a step whose
+    f-eval count differs between probes, is a ConfigurationError.
+    """
+    if not problem.is_linear:
+        raise ConfigurationError("a step map needs a problem with linear parts")
+    d = problem.d
+    images, spent = [], set()
+    for u in np.vstack([np.zeros(2 * d), np.eye(2 * d)]):
+        before = problem.f_evals
+        images.append(np.concatenate(step((u[:d], u[d:]), h)))
+        spent.add(problem.f_evals - before)
+    if len(spent) != 1:
+        raise ConfigurationError(
+            f"step spent {sorted(spent)} f-evals on different probes; "
+            "it has no fixed cost per step")
+    c = images[0]
+    return np.array(images[1:]).T - c[:, None], c, spent.pop()
+
+
+def _march_map(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
+    """(x_end, f_evals) of ``step`` from 0 to t_end, marched as its probed map.
+
+    One map per distinct step size, as the last step may be shorter.
+    ``f_evals`` is what ``step`` would spend (steps times its per-step
+    count), not what probing cost.  A state past DIVERGENCE_GUARD, or not
+    finite, is a DivergenceError.
+    """
+    maps = {}
+
+    def advance(u, h):
+        if h not in maps:
+            maps[h] = _step_map(problem, step, h)
+        S, c, evals = maps[h]
+        u = S @ u + c
+        if not np.abs(u).max() <= DIVERGENCE_GUARD:
+            raise DivergenceError(
+                f"marched state exceeded {DIVERGENCE_GUARD:g} or is not finite")
+        return u, (u, evals)
+
+    _, outs = march(advance, np.concatenate(u0), 0.0, t_end, dt)
+    return outs[-1][0][:problem.d], sum(evals for _, evals in outs)
+
+
+def _march_direct(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
+    """(x_end, f_evals) of ``step`` stepped directly from 0 to t_end.
+
+    x_end is inf if the stepper diverges; f_evals counts what it spent up to
+    there.
+    """
+    def advance(u, h):
+        u = step(u, h)
+        return u, u[0]
+
+    before = problem.f_evals
+    try:
+        x_end = march(advance, u0, 0.0, t_end, dt)[1][-1]
+    except DivergenceError:
+        x_end = np.full(problem.d, math.inf)
+    return x_end, problem.f_evals - before
+
+
+# ---------------------------------------------------------------------------
 # work-precision
 
 def run_work_precision(config: ExperimentConfig):
     """Rows of (method, K, dt, f_evals, rel. position errors) for each run.
 
-    Divergent runs are recorded with infinite error.
+    sdc, picard and rkn4 march the probed one-step map of their stepper
+    (:func:`_march_map`); ``f_evals`` is the stepper's own count.  A run
+    that diverges there is repeated by direct stepping, so its row is the
+    stepper's: infinite error and the f-evals spent up to the divergence.
+    verlet reuses its trailing force (one evaluation per step plus the
+    first) and is always stepped directly.
     """
     rule = build_rule(config.family, config.M)
     u0 = config.initial_value()
@@ -266,22 +362,32 @@ def run_work_precision(config: ExperimentConfig):
                                  initial_guess=GuessStrategy.COPY_INITIAL)
                 for K in config.K_list}
 
-    def picard(problem, K, dt):
+    def picard_stepper(problem, K):
         def step(u, h):
             state, _, F = picard_iterate(problem, u, h, rule, K=K)
-            u = update_step(state, u, h, rule, forces=F)
-            return u, u[0]
-        return march(step, u0, 0.0, config.t_end, dt)[1][-1]
+            return update_step(state, u, h, rule, forces=F)
+        return step
 
-    # method -> (K values, run(problem, K, dt) -> final position)
+    def mapped(stepper):
+        def run(problem, K, dt):
+            step = stepper(problem, K)
+            try:
+                return _march_map(problem, step, u0, config.t_end, dt)
+            except DivergenceError:
+                return _march_direct(problem, step, u0, config.t_end, dt)
+        return run
+
+    def verlet(problem, K, dt):
+        x_end = integrate_verlet(problem, u0, 0.0, config.t_end, dt)[1][-1]
+        return x_end, problem.f_evals
+
+    # method -> (K values, run(problem, K, dt) -> (x_end, f_evals))
     methods = {
-        "sdc": (config.K_list, lambda problem, K, dt: integrate(
-            problem, u0, 0.0, config.t_end, dt, sweepers[K])[1][-1].x_end),
-        "picard": (config.K_list, picard),
-        "rkn4": ((0,), lambda problem, K, dt: integrate_rkn4(
-            problem, u0, 0.0, config.t_end, dt)[1][-1]),
-        "verlet": ((0,), lambda problem, K, dt: integrate_verlet(
-            problem, u0, 0.0, config.t_end, dt)[1][-1]),
+        "sdc": (config.K_list,
+                mapped(lambda problem, K: _sdc_stepper(problem, sweepers[K]))),
+        "picard": (config.K_list, mapped(picard_stepper)),
+        "rkn4": ((0,), mapped(lambda problem, K: _rkn4_stepper(problem))),
+        "verlet": ((0,), verlet),
     }
     rows = []
     for method in config.methods:
@@ -290,29 +396,15 @@ def run_work_precision(config: ExperimentConfig):
         K_values, run = methods[method]
         for K in K_values:
             for dt in config.dt_list:
-                problem = config.make_problem()
-                try:
-                    x_end = run(problem, K, dt)
-                except DivergenceError:
-                    x_end = np.full(problem.d, math.inf)
+                x_end, f_evals = run(config.make_problem(), K, dt)
                 err = np.abs(x_end - xe) / np.maximum(np.abs(xe), 1e-300)
-                rows.append({"method": method, "K": K, "dt": dt,
-                             "f_evals": problem.f_evals,
+                rows.append({"method": method, "K": K, "dt": dt, "f_evals": f_evals,
                              "err1": float(err[0]), "err3": float(err[-1])})
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian drift
-
-def _one_step_matrix(step_fn) -> np.ndarray:
-    """One-step map of a linear scalar problem, extracted column by column."""
-    S = np.empty((2, 2))
-    for j, (x0, v0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        x1, v1 = step_fn(np.array([x0]), np.array([v0]))
-        S[0, j], S[1, j] = x1[0], v1[0]
-    return S
-
 
 @dataclass
 class DriftSeries:
@@ -373,9 +465,10 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     """Relative discrete-Hamiltonian error series for SDC and RKN-4.
 
     The undamped oscillator is linear, so each fixed-dt method is an affine
-    map on (x, v); the long run iterates the one-step matrix extracted from
-    the actual stepper, which is exact for this problem and keeps the
-    default 1e5-step run fast.
+    map on (x, v); the long run iterates the one-step matrix probed from the
+    actual stepper (:func:`_step_map`; its offset is zero, as these steps are
+    linear), which is exact for this problem and keeps the default 1e5-step
+    run fast.
 
     The starting iterate defaults to a velocity-Verlet sweep: with a
     copied initial value, even iteration counts leave the one-step map
@@ -387,6 +480,10 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     if config.problem != "oscillator" or config.kappa != 1.0 or config.mu != 0.0:
         raise ConfigurationError(
             "Hamiltonian drift study needs the undamped oscillator with kappa = 1")
+    if config.n_steps < subsample:
+        raise ConfigurationError(
+            f"Hamiltonian drift study needs n_steps >= {subsample}, the subsample "
+            f"of its series, got {config.n_steps}")
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
     out = []
@@ -395,13 +492,11 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
         for K in config.K_list:
             sw = SweeperConfig(rule=rule, K=K, initial_guess=guess)
             problem = config.make_problem()
-            S = _one_step_matrix(
-                lambda x, v: (lambda r: (r.x_end, r.v_end))(
-                    sdc_step(problem, (x, v), dt, sw)))
+            S = _step_map(problem, _sdc_stepper(problem, sw), dt)[0]
             out.append(_drift_from_matrix(S, u0, config.n_steps, subsample,
                                           f"sdc_M{M}_K{K}"))
     problem = config.make_problem()
-    S = _one_step_matrix(lambda x, v: rkn4_step(problem, x, v, dt))
+    S = _step_map(problem, _rkn4_stepper(problem), dt)[0]
     out.append(_drift_from_matrix(S, u0, config.n_steps, subsample, "rkn4"))
     return out
 

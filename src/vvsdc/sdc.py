@@ -10,7 +10,7 @@ import numpy as np
 from .collocation import (DIVERGENCE_GUARD, NodeState, StepResult, _as_u0,
                           _rows, _within_guard, collocation_residual,
                           free_flight, update_step)
-from .errors import DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
@@ -121,13 +121,16 @@ def march(step, u0, t0: float, t_end: float, dt: float):
     every step but the last is exactly ``dt``.  Returns (times, outs) with
     times[i] the end time of outs[i].  A ``dt`` that is not positive and
     finite, or a span within the end guard ``1e-12*max(1, |t_end|)``, would
-    never end or take no step and is a ``ValueError``.
+    never end or take no step and is a ``ConfigurationError`` (a
+    ``ValueError``).
     """
     if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
     end = t_end - 1e-12 * max(1.0, abs(t_end))
     if not t0 < end:
-        raise ValueError("t_end must exceed t0 by more than the step guard")
+        raise ConfigurationError(
+            f"t_end must exceed t0 by more than the step guard, got t0 = {t0!r}, "
+            f"t_end = {t_end!r}")
     u, t = u0, t0
     times, outs = [], []
     while t < end:

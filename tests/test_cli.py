@@ -124,6 +124,15 @@ def test_hamiltonian_rejects_penning_from_file(tmp_path):
     assert _run(tmp_path, "hamiltonian", ini)[0] == 2
 
 
+@pytest.mark.parametrize("n_steps", ["0", "-3", "9"])
+def test_hamiltonian_too_few_steps_exits_2(tmp_path, capsys, n_steps):
+    # 0 and -3 fail the schema; 9 is below the subsample of the series
+    code, out = _run(tmp_path, "hamiltonian",
+                     TINY.replace("n_steps = 200", f"n_steps = {n_steps}"))
+    assert code == 2 and not out.exists()
+    assert "n_steps" in capsys.readouterr().err
+
+
 def test_stability_map_takes_k_from_file(tmp_path):
     code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk = 3\n")
     assert code == 0
@@ -154,6 +163,8 @@ def test_bad_dt_exits_2(tmp_path, ini, flags):
     assert _run(tmp_path, "nodes", ini, *flags)[0] == 2
 
 
-@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
-def test_bad_t_end_exits_2(tmp_path, t_end):
+@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf", "1e-13"])
+def test_bad_t_end_exits_2(tmp_path, capsys, t_end):
+    # 1e-13 is positive but within the end guard of the time march
     assert _run(tmp_path, "integrate", f"[run]\nt_end = {t_end}\n")[0] == 2
+    assert capsys.readouterr().err.startswith("error: ")

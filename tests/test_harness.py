@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -5,12 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vvsdc import (ConfigurationError, GuessStrategy, NodeFamily,
-                   SweeperConfig, build_rule, integrate)
-from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, fit_slope,
-                           load_config, order_report_rows, read_csv,
-                           run_global_order, run_hamiltonian_drift,
-                           run_local_order, run_work_precision, write_csv)
+from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
+                   NodeFamily, SecondOrderIVP, SweeperConfig, build_rule,
+                   exact_solution, integrate, make_oscillator, picard_iterate,
+                   update_step)
+from vvsdc.baselines import integrate_rkn4
+from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_map,
+                           _rkn4_stepper, _step_map, fit_slope, load_config,
+                           order_report_rows, read_csv, run_global_order,
+                           run_hamiltonian_drift, run_local_order,
+                           run_work_precision, write_csv)
+from vvsdc.sdc import march
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -179,6 +185,111 @@ def test_work_precision_unknown_method():
         run_work_precision(cfg)
 
 
+def _direct_rows(cfg):
+    """Work-precision rows of sdc, picard and rkn4, every run stepped directly."""
+    rule = build_rule(cfg.family, cfg.M)
+    u0 = cfg.initial_value()
+    xe, _ = exact_solution(cfg.make_problem(), cfg.t_end, *u0)
+
+    def run(method, K, problem, dt):
+        if method == "sdc":
+            sw = SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.COPY_INITIAL)
+            return integrate(problem, u0, 0.0, cfg.t_end, dt, sw)[1][-1].x_end
+        if method == "rkn4":
+            return integrate_rkn4(problem, u0, 0.0, cfg.t_end, dt)[1][-1]
+
+        def step(u, h):
+            state, _, F = picard_iterate(problem, u, h, rule, K=K)
+            u = update_step(state, u, h, rule, forces=F)
+            return u, u[0]
+        return march(step, u0, 0.0, cfg.t_end, dt)[1][-1]
+
+    rows = []
+    for method in cfg.methods:
+        for K in (0,) if method == "rkn4" else cfg.K_list:
+            for dt in cfg.dt_list:
+                problem = cfg.make_problem()
+                try:
+                    x_end = run(method, K, problem, dt)
+                except DivergenceError:
+                    x_end = np.full(problem.d, math.inf)
+                err = np.abs(x_end - xe) / np.abs(xe)
+                rows.append({"method": method, "K": K, "dt": dt,
+                             "f_evals": problem.f_evals,
+                             "err1": float(err[0]), "err3": float(err[-1])})
+    return rows, xe
+
+
+def _assert_rows_match(cfg, rows, direct, xe):
+    """f-evals equal; errors equal, or within a round-off bound for finite runs.
+
+    Each step rounds at eps of the state's size, which is about max |u0| in
+    the bounded Penning motion and (1 + err) times that in a run that grows,
+    so n steps move an end position by about n eps (1 + err) max |u0|.
+    """
+    assert [(r["method"], r["K"], r["dt"], r["f_evals"]) for r in rows] == \
+        [(r["method"], r["K"], r["dt"], r["f_evals"]) for r in direct]
+    scale = np.abs(np.concatenate(cfg.initial_value())).max()
+    for row, ref in zip(rows, direct):
+        if not math.isfinite(ref["err1"]):
+            assert row == ref
+            continue
+        n_steps = math.ceil(cfg.t_end / row["dt"] - 1e-9)
+        for key, x in (("err1", xe[0]), ("err3", xe[-1])):
+            bound = n_steps * np.finfo(float).eps * (1.0 + ref[key]) * scale / abs(x)
+            assert abs(row[key] - ref[key]) <= bound, (row, ref)
+
+
+class TestWorkPrecisionMap:
+    def test_matches_direct_stepping(self):
+        # a short last step (0.5 / 0.04) needs a second probed map
+        cfg = ExperimentConfig(K_list=(1, 2), dt_list=(0.04, 0.02, 0.01), t_end=0.5)
+        direct, xe = _direct_rows(cfg)
+        _assert_rows_match(cfg, run_work_precision(cfg), direct, xe)
+
+    def test_diverged_runs_are_stepped_directly(self):
+        # Picard diverges on all of this ladder and stops part-way, so its
+        # rows (inf, f-evals up to the divergence) are the stepper's only if
+        # the run is repeated directly; SDC stays finite here
+        cfg = ExperimentConfig(K_list=(1, 2), dt_list=(0.1, 0.2, 0.4),
+                               methods=("sdc", "picard"))
+        direct, xe = _direct_rows(cfg)
+        diverged = [r for r in direct if not math.isfinite(r["err1"])]
+        assert {r["method"] for r in diverged} == {"picard"} and len(diverged) == 6
+        _assert_rows_match(cfg, run_work_precision(cfg), direct, xe)
+
+
+class TestStepMap:
+    def test_needs_linear_parts(self):
+        problem = SecondOrderIVP(d=1, force=lambda x, v: -x ** 3,
+                                 velocity_dependent=np.array([False]))
+        with pytest.raises(ConfigurationError, match="linear parts"):
+            _step_map(problem, _rkn4_stepper(problem), 0.1)
+
+    def test_probes_must_spend_the_same(self):
+        problem = make_oscillator(1.0, 0.0)
+
+        def step(u, h):   # one extra evaluation when v = 0
+            if not u[1].any():
+                problem.f(*u)
+            return u
+        with pytest.raises(ConfigurationError, match="no fixed cost"):
+            _step_map(problem, step, 0.1)
+
+    def test_affine_offset(self):
+        problem = make_oscillator(1.0, 0.0)
+        S, c, evals = _step_map(problem, lambda u, h: (2.0 * u[0] + h, u[1] - u[0]), 0.5)
+        assert S.tolist() == [[2.0, 0.0], [-1.0, 1.0]]
+        assert c.tolist() == [0.5, 0.0] and evals == 0
+
+    @pytest.mark.parametrize("growth", [2e8, math.inf, math.nan])
+    def test_march_guard(self, growth):
+        problem = make_oscillator(1.0, 0.0)
+        with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
+            _march_map(problem, lambda u, h: (growth * u[0], u[1]),
+                       (np.array([1.0]), np.array([0.0])), 1.0, 0.5)
+
+
 class TestHamiltonianDrift:
     def test_requires_undamped_oscillator(self):
         with pytest.raises(ConfigurationError):
@@ -198,6 +309,13 @@ class TestHamiltonianDrift:
         sdc = next(s for s in series if s.label.startswith("sdc"))
         assert sdc.max_rel_error < 1e-2
         assert len(sdc.steps) == 200
+
+    @pytest.mark.parametrize("n_steps", [0, 9])
+    def test_needs_one_subsample_of_steps(self, n_steps):
+        cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,
+                               K_list=(3,), n_steps=n_steps)
+        with pytest.raises(ConfigurationError, match="n_steps"):
+            run_hamiltonian_drift(cfg, M_list=(3,))
 
     def test_fast_path_matches_direct_stepping(self):
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,

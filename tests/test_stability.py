@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, ScanKind,
-                   SweeperConfig, build_K_picard, build_K_sdc, build_P_picard,
-                   build_P_sdc, build_rule, make_oscillator, rkn4_amplification,
-                   scan_domain, sdc_step, spectral_radius, stability_function,
-                   stability_limit)
-from vvsdc.baselines import rkn4_step
+from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, NodeState,
+                   ScanKind, SweeperConfig, build_K_picard, build_K_sdc, build_P_picard,
+                   build_P_sdc, build_rule, make_oscillator, picard_iterate,
+                   rkn4_amplification, scan_domain, spectral_radius,
+                   stability_function, stability_limit, update_step)
 from vvsdc.collocation import solve_collocation_linear
-from vvsdc.harness import scan_rows, write_csv
+from vvsdc.harness import (_rkn4_stepper, _sdc_stepper, _step_map, scan_rows,
+                           write_csv)
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 
@@ -98,28 +98,36 @@ class TestStabilityFunction:
         R = stability_function(17.0, 0.0, RULE3, 50)
         assert spectral_radius(R) > 1.0
 
+    # the closed-form 2x2 matrices must equal the map the actual stepper
+    # realizes on the linear oscillator at dt = 1, probed by the harness
     def test_matches_empirical_one_step_matrix(self):
-        # the analytic 2x2 function must equal the map the actual stepper
-        # realizes on the linear oscillator at dt = 1
-        kappa, mu, K = 0.8, 0.3, 3
-        cfg = SweeperConfig(rule=RULE3, K=K,
-                            initial_guess=GuessStrategy.COPY_INITIAL)
-        S = np.empty((2, 2))
-        problem = make_oscillator(kappa, mu)
-        for j, (x0, v0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            res = sdc_step(problem, (np.array([x0]), np.array([v0])), 1.0, cfg)
-            S[0, j], S[1, j] = res.x_end[0], res.v_end[0]
-        R = stability_function(kappa, mu, RULE3, K)
-        assert R == pytest.approx(S, abs=1e-12)
+        for kappa, mu, K in ((0.8, 0.3, 3), (2.5, 0.0, 2), (4.0, 1.5, 4)):
+            cfg = SweeperConfig(rule=RULE3, K=K,
+                                initial_guess=GuessStrategy.COPY_INITIAL)
+            problem = make_oscillator(kappa, mu)
+            S, c, _ = _step_map(problem, _sdc_stepper(problem, cfg), 1.0)
+            assert np.all(c == 0.0)
+            assert stability_function(kappa, mu, RULE3, K) == pytest.approx(S, abs=1e-12)
+
+    def test_picard_matches_empirical(self):
+        # the Picard stability function starts from the replicated U_0
+        Mp1 = RULE3.M + 1
+        for kappa, mu, K in ((0.5, 0.2, 2), (1.0, 0.0, 3), (2.0, 1.0, 5)):
+            problem = make_oscillator(kappa, mu)
+
+            def step(u, h):
+                start = NodeState(*(np.repeat(w[None], Mp1, axis=0) for w in u))
+                state, _, F = picard_iterate(problem, u, h, RULE3, K=K, initial=start)
+                return update_step(state, u, h, RULE3, forces=F)
+            S = _step_map(problem, step, 1.0)[0]
+            R = stability_function(kappa, mu, RULE3, K, kind=ScanKind.PICARD_STABILITY)
+            assert R == pytest.approx(S, abs=1e-12)
 
     def test_rkn4_matches_empirical(self):
-        kappa, mu = 1.7, 0.6
-        problem = make_oscillator(kappa, mu)
-        S = np.empty((2, 2))
-        for j, (x0, v0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            x1, v1 = rkn4_step(problem, np.array([x0]), np.array([v0]), 1.0)
-            S[0, j], S[1, j] = x1[0], v1[0]
-        assert rkn4_amplification(kappa, mu) == pytest.approx(S, abs=1e-13)
+        for kappa, mu in ((1.7, 0.6), (0.3, 0.0), (6.0, 2.5)):
+            problem = make_oscillator(kappa, mu)
+            S = _step_map(problem, _rkn4_stepper(problem), 1.0)[0]
+            assert rkn4_amplification(kappa, mu) == pytest.approx(S, abs=1e-12)
 
 
 def _cell_matrix(kind, rule, K, dt_kappa, dt_mu):
