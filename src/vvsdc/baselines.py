@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .collocation import DIVERGENCE_GUARD, _within_guard
+from .errors import DivergenceError
 from .preconditioner import _solve_node_velocity
 from .problems import SecondOrderIVP
 from .sdc import march
@@ -19,9 +21,10 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
     v = np.atleast_1d(np.asarray(v, float))
     f0 = problem.f(x, v) if f_prev is None else np.asarray(f_prev, float)
     x_new = x + dt * (v + 0.5 * dt * f0)
-    # v' = v + dt/2 (f0 + f(x', v')); implicit only if f depends on v
+    # v' = v + dt/2 (f0 + f(x', v')); implicit only if f depends on v, and
+    # then solved starting from the force f0 already known
     b = v + 0.5 * dt * f0
-    v_new, f_new = _solve_node_velocity(problem, x_new, b, 0.5 * dt, node=None)
+    v_new, f_new = _solve_node_velocity(problem, x_new, b, 0.5 * dt, f0, node=None)
     return x_new, v_new, f_new
 
 
@@ -44,7 +47,9 @@ def rkn4_step(problem: SecondOrderIVP, x, v, dt: float):
     """Classical four-stage RK4 on the companion first-order system.
 
     This is the artifact's fourth-order Runge-Kutta-Nystrom stand-in; it
-    costs four force evaluations per step.
+    costs four force evaluations per step.  A new state past
+    DIVERGENCE_GUARD, or not finite, is a DivergenceError, as for the SDC
+    and Picard iterates.
     """
     x = np.atleast_1d(np.asarray(x, float))
     v = np.atleast_1d(np.asarray(v, float))
@@ -54,6 +59,9 @@ def rkn4_step(problem: SecondOrderIVP, x, v, dt: float):
     k4x, k4v = v + dt * k3v, problem.f(x + dt * k3x, v + dt * k3v)
     x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    if not _within_guard(x_new, v_new):
+        raise DivergenceError(
+            f"RK4 state exceeded {DIVERGENCE_GUARD:g} or is not finite")
     return x_new, v_new
 
 

@@ -56,13 +56,16 @@ def _rows(w, n):
     return np.repeat(w[None, :], n, axis=0)
 
 
-def _within_guard(state: NodeState) -> bool:
-    """Whether every node value is finite and at most DIVERGENCE_GUARD in size.
+def _within_guard(*arrays) -> bool:
+    """Whether every value of ``arrays`` is finite and at most DIVERGENCE_GUARD
+    in size.
 
     NaN compares false, so a NaN iterate is outside the guard too.
     """
-    return (np.abs(state.X).max() <= DIVERGENCE_GUARD
-            and np.abs(state.V).max() <= DIVERGENCE_GUARD)
+    for a in arrays:
+        if not np.abs(a).max() <= DIVERGENCE_GUARD:
+            return False
+    return True
 
 
 def free_flight(u0, dt: float, rule: QuadratureRule, d: int) -> NodeState:
@@ -135,7 +138,7 @@ def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
         delta = max(np.max(np.abs(X_new - state.X)), np.max(np.abs(V_new - state.V)))
         trace.append(delta)
         state = NodeState(X_new, V_new)
-        if not _within_guard(state):
+        if not _within_guard(state.X, state.V):
             raise DivergenceError(
                 f"Picard iterate exceeded {DIVERGENCE_GUARD:g} or is not finite at k={k}")
         F = np.vstack([F[:1], problem.f_nodes(state.X[1:], state.V[1:])])

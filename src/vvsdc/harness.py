@@ -315,6 +315,7 @@ def _march_map(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
             maps[h] = _step_map(problem, step, h)
         S, c, evals = maps[h]
         u = S @ u + c
+        # the test of collocation._within_guard, inlined: it runs every step
         if not np.abs(u).max() <= DIVERGENCE_GUARD:
             raise DivergenceError(
                 f"marched state exceeded {DIVERGENCE_GUARD:g} or is not finite")

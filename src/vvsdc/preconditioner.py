@@ -38,8 +38,15 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
                                   QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
 
 
-def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, node):
-    """Solve v = b + dt_qt * f(x, v) for the velocity at one node."""
+def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, f_start, node):
+    """Solve v = b + dt_qt * f(x, v) for the velocity at one node.
+
+    Linear and velocity-independent forces are solved directly.  Any other
+    force takes a fixed-point loop that starts at v = b + dt_qt * f_start and
+    stops at the first iterate whose residual |b + dt_qt * f(x, v) - v| is at
+    most _FP_TOL; that iterate is returned with the force already evaluated
+    at it.
+    """
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
         rhs = b + dt_qt * (A_x @ x)
@@ -48,23 +55,28 @@ def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, node):
     if not problem.velocity_dependent.any():
         f = problem.f(x, b)
         return b + dt_qt * f, f
-    v = b.copy()
+    v = b + dt_qt * f_start
     for _ in range(_FP_MAXITER):
         f = problem.f(x, v)
         v_new = b + dt_qt * f
         update = np.max(np.abs(v_new - v))
         if update <= _FP_TOL:
-            return v_new, problem.f(x, v_new)
+            return v, f
         v = v_new
     raise SolverError("node velocity solve did not converge", node=node,
                       residual=float(update))
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
-                 dt: float, matrices: PreconditionerMatrices, f0=None):
+                 dt: float, matrices: PreconditionerMatrices, forces=None):
     """Solve M_vv(U) = rhs by one velocity-Verlet pass through the nodes.
 
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
+    ``forces``, the (M+1, d) node forces of the previous iterate, fixes the
+    node-0 force (row 0) and starts each fixed-point node solve from the
+    velocity its row m gives (see :func:`_solve_node_velocity`).  Without
+    it, the node-0 force is evaluated and node m starts from the force just
+    found at node m-1.
     Returns the node states together with the force values at all nodes,
     so callers can reuse them without re-evaluating.
     """
@@ -72,11 +84,13 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
     X = np.array(rhs_x, dtype=float)
     V = np.array(rhs_v, dtype=float)
     F = np.empty_like(X)   # every row is set below
-    F[0] = problem.f(X[0], V[0]) if f0 is None else np.asarray(f0, float)
+    F[0] = problem.f(X[0], V[0]) if forces is None else np.asarray(forces[0], float)
     QT, Qx = matrices.QT, matrices.Qx
     dt2 = dt * dt
     for m in range(1, Mp1):
         X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
         b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
-        V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt * QT[m, m], m)
+        f_start = F[m - 1] if forces is None else forces[m]
+        V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt * QT[m, m],
+                                          f_start, m)
     return X, V, F

@@ -82,7 +82,7 @@ def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
     ff = free_flight(u0, dt, rule, problem.d)
     rhs_x = ff.X + dt * dt * (pre.QQ_Qx @ Fk)
     rhs_v = ff.V + dt * (pre.Q_QT @ Fk)
-    X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, f0=Fk[0])
+    X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces=Fk)
     return NodeState(X, V), F
 
 
@@ -97,7 +97,7 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     for _ in range(config.K):
         state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F)
         iterations += 1
-        if not _within_guard(state):
+        if not _within_guard(state.X, state.V):
             raise DivergenceError(
                 f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite")
         if config.residual_tol is not None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvsdc import (NodeFamily, build_preconditioner, build_rule,
+from vvsdc import (DivergenceError, NodeFamily, build_preconditioner, build_rule,
                    exact_solution, make_oscillator, make_penning, verlet_solve)
 from vvsdc.baselines import (integrate_rkn4, integrate_verlet, rkn4_step,
                              verlet_step)
@@ -103,3 +103,13 @@ class TestRkn4:
         integrate_rkn4(problem, ([10.0, 0.0, 0.0], [100.0, 0.0, 100.0]),
                        0.0, 1.0, 0.01)
         assert problem.f_evals == 4 * 100
+
+    @pytest.mark.parametrize("x0", [2e8, np.inf, np.nan])
+    def test_divergence_guard(self, x0):
+        # the same guard as the SDC and Picard iterates: past 1e8 or not finite
+        problem = make_oscillator(0.0, 0.0)
+        assert rkn4_step(problem, [9e7], [0.0], 0.1)[0] == pytest.approx([9e7])
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            rkn4_step(problem, [x0], [0.0], 0.1)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            rkn4_step(problem, [0.0], [x0], 0.1)

@@ -248,14 +248,20 @@ class TestWorkPrecisionMap:
         _assert_rows_match(cfg, run_work_precision(cfg), direct, xe)
 
     def test_diverged_runs_are_stepped_directly(self):
-        # Picard diverges on all of this ladder and stops part-way, so its
-        # rows (inf, f-evals up to the divergence) are the stepper's only if
-        # the run is repeated directly; SDC stays finite here
+        # Picard diverges on all of this ladder and rkn4 at dt 0.2 and 0.4;
+        # both stop part-way, so their rows (inf, f-evals up to the
+        # divergence) are the stepper's only if the run is repeated
+        # directly; SDC stays finite here
         cfg = ExperimentConfig(K_list=(1, 2), dt_list=(0.1, 0.2, 0.4),
-                               methods=("sdc", "picard"))
+                               methods=("sdc", "picard", "rkn4"))
         direct, xe = _direct_rows(cfg)
-        diverged = [r for r in direct if not math.isfinite(r["err1"])]
-        assert {r["method"] for r in diverged} == {"picard"} and len(diverged) == 6
+        diverged = [(r["method"], r["dt"]) for r in direct
+                    if not math.isfinite(r["err1"])]
+        assert sorted(diverged) == sorted(
+            [("picard", dt) for dt in cfg.dt_list] * 2 + [("rkn4", 0.2), ("rkn4", 0.4)])
+        for r in direct:
+            if r["method"] == "rkn4" and r["dt"] > 0.1:   # stopped part-way
+                assert r["f_evals"] < 4 * math.ceil(cfg.t_end / r["dt"] - 1e-9)
         _assert_rows_match(cfg, run_work_precision(cfg), direct, xe)
 
 

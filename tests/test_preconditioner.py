@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vvsdc import (NodeFamily, SolverError, build_preconditioner, build_rule,
-                   make_oscillator, verlet_solve)
+                   make_oscillator, make_penning, verlet_solve)
+from vvsdc.preconditioner import _FP_TOL
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -134,3 +135,64 @@ def test_nonlinear_velocity_solve_and_failure():
     with pytest.raises(SolverError) as info:
         verlet_solve(stiff, rhs_x, rhs_v, 0.3, pre)
     assert info.value.residual > 0
+
+
+def _field(x):
+    """A divergence-free mirror-like field B(x)."""
+    return np.array([-0.1 * x[0] * x[2], -0.1 * x[1] * x[2], 2.0 + 0.1 * x[2] ** 2])
+
+
+def _magnetic():
+    """f = v x B(x): nonlinear in x, affine in v at fixed x, no linear parts."""
+    return SecondOrderIVP(d=3, force=lambda x, v: np.cross(v, _field(x)),
+                          velocity_dependent=np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_magnetic_node_solves_match_direct_solve(warm):
+    # at fixed x the node equation v = b + c (v x B) is the linear system
+    # (I - c L) v = b with L v = v x B, solved here by np.linalg.solve
+    rng = np.random.default_rng(11)
+    for M in (1, 3, 5):
+        pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, M))
+        for _ in range(5):
+            dt = float(rng.uniform(0.02, 0.2))
+            rhs_x = rng.uniform(-3.0, 3.0, size=(M + 1, 3))
+            rhs_v = rng.uniform(-10.0, 10.0, size=(M + 1, 3))
+            problem = _magnetic()
+            forces = None
+            if warm:
+                forces = problem.f_nodes(rhs_x, rhs_v) + rng.normal(size=(M + 1, 3))
+            X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces=forces)
+            assert np.array_equal(F[0], problem.f(X[0], V[0]) if forces is None
+                                  else forces[0])
+            for m in range(1, M + 1):
+                c = dt * pre.QT[m, m]
+                b = rhs_v[m] + dt * (pre.QT[m, :m] @ F[:m])
+                assert np.array_equal(
+                    X[m], rhs_x[m] + dt * dt * (pre.Qx[m, :m] @ F[:m]))
+                L = np.cross(np.eye(3), _field(X[m]))   # row i: e_i x B
+                v_direct = np.linalg.solve(np.eye(3) - c * L.T, b)
+                assert V[m] == pytest.approx(v_direct, rel=0, abs=1e-12)
+                assert np.array_equal(F[m], problem.force(X[m], V[m]))
+                assert np.max(np.abs(V[m] - b - c * F[m])) <= _FP_TOL
+
+
+@pytest.mark.parametrize("make", [
+    make_penning,
+    lambda: SecondOrderIVP(d=3, force=lambda x, v: -np.sin(x),
+                           velocity_dependent=np.zeros(3, dtype=bool))],
+    ids=["penning", "sine"])
+def test_direct_branches_ignore_forces(make):
+    # only the fixed-point loop starts from forces[1:]; the linear and the
+    # velocity-independent solves must not round differently with them
+    rng = np.random.default_rng(3)
+    pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 4))
+    rhs_x = rng.normal(size=(5, 3))
+    rhs_v = rng.normal(size=(5, 3))
+    forces = rng.normal(size=(5, 3))
+    forces[0] = make().f(rhs_x[0], rhs_v[0])
+    cold = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre)
+    warm = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre, forces=forces)
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)

@@ -228,6 +228,26 @@ class TestBitIdentity:
                                                           RULE3, forces=F)
         assert res.f_evals == problem.f_evals and res.iterations_used == cfg.K
 
+    def test_sweep_from_converged_state_costs_one_eval_per_node(self):
+        # every node solve of the sweep starts from the previous iterate's
+        # force, which is already the fixed point once the step has
+        # converged, so each node costs the one f-eval that checks it
+        u0 = (np.array([1.0, 2.0, -1.0]), np.array([3.0, -2.0, 5.0]))
+        dt = 0.02
+        cfg = SweeperConfig(rule=RULE3, K=20, residual_tol=1e-12)
+        res = sdc_step(_mirror_like(), u0, dt, cfg)
+        assert res.final_residual <= 1e-12 and res.iterations_used < cfg.K
+        problem = _mirror_like()
+        state, F = initial_guess(cfg.initial_guess, u0, problem, dt, cfg.matrices,
+                                 RULE3.M + 1)
+        for _ in range(res.iterations_used):
+            state, F = sdc_sweep(problem, state, u0, dt, cfg, prev_forces=F)
+        x_end, _ = update_step(state, u0, dt, RULE3, forces=F)
+        assert np.array_equal(x_end, res.x_end)
+        before = problem.f_evals
+        sdc_sweep(problem, state, u0, dt, cfg, prev_forces=F)
+        assert problem.f_evals - before == RULE3.M
+
     def test_as_u0_copies_and_broadcasts(self):
         x0, v0 = np.array([1.0, 2.0, 3.0]), np.array([4, 5, 6])
         x, v = _as_u0((x0, v0), 3)
