@@ -24,7 +24,7 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
     # v' = v + dt/2 (f0 + f(x', v')); implicit only if f depends on v, and
     # then solved starting from the force f0 already known
     b = v + 0.5 * dt * f0
-    v_new, f_new = _solve_node_velocity(problem, x_new, b, 0.5 * dt, f0, node=None)
+    v_new, f_new = _solve_node_velocity(problem, x_new, b, dt, 0.5, f0, node=None)
     return x_new, v_new, f_new
 
 

@@ -443,7 +443,8 @@ def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, subsample: int,
     h0 = 0.5 * (x * x + v * v)
     steps, series = [], []
     max_err = 0.0
-    s00, s01, s10, s11 = S[0, 0], S[0, 1], S[1, 0], S[1, 1]
+    # Python floats round as np.float64 scalars do, at a third of the cost
+    (s00, s01), (s10, s11) = S.tolist()
     for n in range(1, n_steps + 1):
         x, v = s00 * x + s01 * v, s10 * x + s11 * v
         err = abs(0.5 * (x * x + v * v) - h0) / h0

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SolverError
 from .problems import SecondOrderIVP
@@ -38,27 +40,49 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
                                   QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
 
 
-def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt_qt, f_start, node):
-    """Solve v = b + dt_qt * f(x, v) for the velocity at one node.
+@lru_cache(maxsize=256)
+def _node_factor(a_v: bytes, d: int, c: float):
+    """LU factor ``(lu, piv, info)`` of ``I - c*A_v`` by LAPACK ``getrf``.
 
-    Linear and velocity-independent forces are solved directly.  Any other
-    force takes a fixed-point loop that starts at v = b + dt_qt * f_start and
-    stops at the first iterate whose residual |b + dt_qt * f(x, v) - v| is at
+    ``A_v`` arrives as the bytes of its float values, so the cache keys on
+    values: two problems with equal ``A_v`` and ``c`` share one factor, and
+    two with different ``A_v`` never do.  ``getrf`` followed by ``getrs``
+    is what ``np.linalg.solve`` runs (``gesv``), so a factored solve
+    rounds exactly as that call would.
+    """
+    return dgetrf(np.eye(d) - c * np.frombuffer(a_v).reshape(d, d))
+
+
+def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt, weight, f_start,
+                         node):
+    """Solve v = b + c * f(x, v), c = dt * weight, for the velocity at one node.
+
+    Linear forces solve ``(I - c A_v) v = b + c A_x x`` with the LU factor
+    of ``I - c A_v``, built once per (A_v values, c) and kept in a bounded
+    cache; a singular matrix is a ``SolverError`` naming the node and
+    ``dt``.  Velocity-independent forces are solved directly.  Any other
+    force takes a fixed-point loop that starts at v = b + c * f_start and
+    stops at the first iterate whose residual |b + c * f(x, v) - v| is at
     most _FP_TOL; that iterate is returned with the force already evaluated
     at it.
     """
+    c = dt * weight
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
-        rhs = b + dt_qt * (A_x @ x)
-        v = np.linalg.solve(np.eye(problem.d) - dt_qt * A_v, rhs)
+        lu, piv, info = _node_factor(np.asarray(A_v, float).tobytes(),
+                                     problem.d, c)
+        if info > 0:
+            raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
+                              f" (c = {c!r})", node=node)
+        v, _ = dgetrs(lu, piv, b + c * (A_x @ x))
         return v, problem.f(x, v)
     if not problem.velocity_dependent.any():
         f = problem.f(x, b)
-        return b + dt_qt * f, f
-    v = b + dt_qt * f_start
+        return b + c * f, f
+    v = b + c * f_start
     for _ in range(_FP_MAXITER):
         f = problem.f(x, v)
-        v_new = b + dt_qt * f
+        v_new = b + c * f
         update = np.max(np.abs(v_new - v))
         if update <= _FP_TOL:
             return v, f
@@ -91,6 +115,6 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
         X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
         b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
         f_start = F[m - 1] if forces is None else forces[m]
-        V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt * QT[m, m],
+        V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt, QT[m, m],
                                           f_start, m)
     return X, V, F

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +48,19 @@ class SweeperConfig:
         return _GUESS_ORDER[self.initial_guess]
 
 
+@lru_cache(maxsize=64)
+def _random_draws(seed: int, Mp1: int, d: int):
+    """The seeded random start's (X, V) draws, made once per (seed, M+1, d).
+
+    The draws never change, so callers take copies rather than rebuilding
+    the generator each step.  ``seed`` is an integer: a ``Generator`` seed
+    would draw anew on every step, which a cache cannot reproduce.
+    """
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1.0, 1.0, size=(Mp1, d)),
+            rng.uniform(-1.0, 1.0, size=(Mp1, d)))
+
+
 def initial_guess(strategy: GuessStrategy, u0, problem: SecondOrderIVP,
                   dt: float, matrices: PreconditionerMatrices,
                   Mp1: int, seed: int = 0):
@@ -61,9 +76,8 @@ def initial_guess(strategy: GuessStrategy, u0, problem: SecondOrderIVP,
         X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, matrices)
         return NodeState(X, V), F
     if strategy is GuessStrategy.RANDOM:
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-1.0, 1.0, size=(Mp1, problem.d))
-        V = rng.uniform(-1.0, 1.0, size=(Mp1, problem.d))
+        X, V = (w.copy() for w in _random_draws(operator.index(seed), Mp1,
+                                                problem.d))
         X[0], V[0] = x0, v0
         state = NodeState(X, V)
         return state, problem.f_nodes(X, V)
@@ -71,15 +85,18 @@ def initial_guess(strategy: GuessStrategy, u0, problem: SecondOrderIVP,
 
 
 def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
-              config: SweeperConfig, prev_forces=None):
+              config: SweeperConfig, prev_forces=None,
+              ff: NodeState | None = None):
     """One correction sweep: velocity-Verlet pass with quadrature corrections.
 
     Solves (I - dt Q_vv F) U^{k+1} = dt (Q_coll - Q_vv) F(U^k) + C_coll U_0
-    node by node.  Returns the new state and its node forces.
+    node by node.  ``ff``, the step's :func:`free_flight` nodes C_coll U_0,
+    is built here when not given.  Returns the new state and its node forces.
     """
     rule, pre = config.rule, config.matrices
     Fk = problem.f_nodes(prev.X, prev.V) if prev_forces is None else prev_forces
-    ff = free_flight(u0, dt, rule, problem.d)
+    if ff is None:
+        ff = free_flight(u0, dt, rule, problem.d)
     rhs_x = ff.X + dt * dt * (pre.QQ_Qx @ Fk)
     rhs_v = ff.V + dt * (pre.Q_QT @ Fk)
     X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces=Fk)
@@ -92,10 +109,12 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     evals_before = problem.f_evals
     state, F = initial_guess(config.initial_guess, u0, problem, dt,
                              config.matrices, config.rule.M + 1, config.seed)
+    ff = free_flight(u0, dt, config.rule, problem.d)
     iterations = 0
     residual = np.inf
     for _ in range(config.K):
-        state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F)
+        state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F,
+                             ff=ff)
         iterations += 1
         if not _within_guard(state.X, state.V):
             raise DivergenceError(

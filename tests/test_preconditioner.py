@@ -1,9 +1,13 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from vvsdc import (NodeFamily, SolverError, build_preconditioner, build_rule,
-                   make_oscillator, make_penning, verlet_solve)
-from vvsdc.preconditioner import _FP_TOL
+from vvsdc import (NodeFamily, PenningParams, SolverError, SweeperConfig,
+                   build_preconditioner, build_rule, integrate, make_oscillator,
+                   make_penning, verlet_solve)
+from vvsdc.baselines import verlet_step
+from vvsdc.preconditioner import _FP_TOL, _node_factor, _solve_node_velocity
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -196,3 +200,69 @@ def test_direct_branches_ignore_forces(make):
     warm = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre, forces=forces)
     for a, b in zip(cold, warm):
         assert np.array_equal(a, b)
+
+
+def _node_solve(problem, c, rhs):
+    """The linear node solve with x = 0, so its right-hand side is ``rhs``."""
+    v, _ = _solve_node_velocity(problem, np.zeros(problem.d), rhs, c, 1.0,
+                                None, 1)
+    return v
+
+
+def _reference_solve(problem, c, rhs):
+    return np.linalg.solve(np.eye(problem.d) - c * problem.linear_parts[1], rhs)
+
+
+_PENNING = st.builds(lambda b, e: make_penning(PenningParams(omega_b=b, omega_e=e)),
+                     st.floats(0.0, 100.0), st.floats(0.0, 20.0))
+_OSCILLATOR = st.builds(make_oscillator, st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+_C = st.floats(0.0, 2.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(problem=st.one_of(_PENNING, _OSCILLATOR), c=_C, seed=st.integers(0, 2**32 - 1))
+def test_factored_node_solve_is_np_linalg_solve(problem, c, seed):
+    # getrf + getrs is what np.linalg.solve (gesv) runs, so the factored
+    # solve must round exactly as that call does
+    rhs = np.random.default_rng(seed).uniform(-1e3, 1e3, problem.d)
+    assert np.array_equal(_node_solve(problem, c, rhs),
+                          _reference_solve(problem, c, rhs))
+
+
+@settings(deadline=None, max_examples=50)
+@given(b1=st.floats(0.0, 100.0), b2=st.floats(0.0, 100.0), c=_C,
+       seed=st.integers(0, 2**32 - 1))
+def test_node_factor_keys_on_values(b1, b2, c, seed):
+    # two problems whose A_v differ at the same c, solved in turn, each get
+    # their own factor; a fresh problem with equal A_v reuses its factor
+    first = make_penning(PenningParams(omega_b=b1))
+    second = make_penning(PenningParams(omega_b=b2))
+    rhs = np.random.default_rng(seed).uniform(-1e3, 1e3, 3)
+    for problem in (first, second, first, second):
+        assert np.array_equal(_node_solve(problem, c, rhs),
+                              _reference_solve(problem, c, rhs))
+    hits = _node_factor.cache_info().hits
+    _node_solve(make_penning(PenningParams(omega_b=b2)), c, rhs)
+    assert _node_factor.cache_info().hits == hits + 1
+
+
+def test_node_factor_cache_is_bounded():
+    problem = make_oscillator(1.0, 0.5)
+    for k in range(2 * _node_factor.cache_info().maxsize):
+        _node_solve(problem, 1e-3 * k, np.ones(1))
+    info = _node_factor.cache_info()
+    assert info.currsize == info.maxsize
+
+
+def test_singular_node_matrix_is_solver_error():
+    # x'' = 4 x': at M = 1 the node weight QT[1, 1] is 1/4, so dt = 1 gives
+    # the node matrix 1 - (1/4) 4 = 0 exactly
+    problem = _linear_problem([[0.0]], [[4.0]])
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 1), K=2)
+    assert 1.0 - 1.0 * cfg.matrices.QT[1, 1] * 4.0 == 0.0
+    with pytest.raises(SolverError, match=r"singular at dt = 1\.0") as info:
+        integrate(problem, (1.0, 1.0), 0.0, 2.0, 1.0, cfg)
+    assert info.value.node == 1
+    # the Verlet baseline's half-step node solve (c = dt/2) fails the same way
+    with pytest.raises(SolverError, match=r"singular at dt = 0\.5"):
+        verlet_step(problem, 1.0, 1.0, 0.5)

@@ -47,6 +47,32 @@ class TestInitialGuess:
         assert np.array_equal(a.X, b.X) and np.array_equal(a.V, b.V)
         assert a.X[0, 0] == 1.0 and a.V[0, 0] == 2.0
         assert np.all(np.abs(a.X[1:]) <= 1.0)
+        # the draws are made once per seed, so a stateful seed is refused
+        with pytest.raises(TypeError):
+            initial_guess(GuessStrategy.RANDOM, u0, problem, 0.5, PRE3, 4,
+                          seed=np.random.default_rng(42))
+
+    @pytest.mark.parametrize("seed, Mp1, d", [(42, 4, 1), (42, 4, 3), (7, 4, 3),
+                                              (42, 6, 3)])
+    def test_random_draws_are_fresh_copies(self, seed, Mp1, d):
+        problem = make_penning() if d == 3 else make_oscillator(1.0, 0.0)
+        u0 = (np.full(d, 0.5), np.full(d, -0.5))
+        pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, Mp1 - 1))
+        a, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.1, pre, Mp1, seed)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(Mp1, d))
+        V = rng.uniform(-1.0, 1.0, size=(Mp1, d))
+        assert np.array_equal(a.X[1:], X[1:]) and np.array_equal(a.V[1:], V[1:])
+        a.X[:] = 9.0
+        a.V[:] = 9.0
+        b, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.1, pre, Mp1, seed)
+        assert np.array_equal(b.X[1:], X[1:]) and np.array_equal(b.V[1:], V[1:])
+        assert np.array_equal(b.X[0], u0[0]) and np.array_equal(b.V[0], u0[1])
+        # the seed, M and d each change the draws (V starts at draw (M+1) d)
+        base, _ = initial_guess(GuessStrategy.RANDOM, (np.zeros(3), np.zeros(3)),
+                                make_penning(), 0.1, PRE3, 4, 42)
+        assert np.array_equal(b.V[1:4, :1], base.V[1:4, :1]) == (
+            (seed, Mp1, d) == (42, 4, 3))
 
     def test_k0_property(self):
         cfg = SweeperConfig(rule=RULE3, initial_guess=GuessStrategy.VERLET_SWEEP)
