@@ -30,6 +30,7 @@ class ScanKind(Enum):
 
 _CONVERGENCE_KINDS = (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE)
 _RUNGS = 64   # coarse rungs of stability_limit per stacked evaluation
+_STACK = 256  # cells per stack in scan_domain; 64, 144, 512 and 1024 scanned slower
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,21 @@ def _blocks(rule: QuadratureRule, kind: ScanKind):
     return Qpre, Qcoll, Ccoll
 
 
-def _iteration(kind, rule, kappa, mu):
-    """Stacks of (I - Q_pre F)^(-1) (Q_coll - Q_pre) F and (I - Q_pre F)^(-1) C_coll."""
-    F = _force_operator(kappa, mu, rule.M + 1)
+def _iteration(kind, rule, F):
+    """Stacks of (I - Q_pre F)^(-1) (Q_coll - Q_pre) F and, but for the convergence
+    kinds, of (I - Q_pre F)^(-1) C_coll, by one solve; Picard's I - Q_pre F is I."""
     Qpre, Qcoll, Ccoll = _blocks(rule, kind)
-    M = np.eye(F.shape[-1]) - Qpre @ F
-    return np.linalg.solve(M, (Qcoll - Qpre) @ F), np.linalg.solve(M, Ccoll)
+    rhs = (Qcoll - Qpre) @ F
+    if not Qpre.any():
+        return rhs, Ccoll
+    if kind not in _CONVERGENCE_KINDS:
+        rhs = np.concatenate([rhs, np.broadcast_to(Ccoll, rhs.shape)], axis=-1)
+    return np.split(np.linalg.solve(np.eye(len(Qpre)) - Qpre @ F, rhs), [len(Qpre)], axis=-1)
 
 
-def _propagator(kind, rule, K, kappa, mu) -> np.ndarray:
+def _propagator(kind, rule, K, F) -> np.ndarray:
     """Stacked maps from replicated U_0 to U^K, or to the collocation solution."""
-    Kmat, Minv_C = _iteration(kind, rule, kappa, mu)
+    Kmat, Minv_C = _iteration(kind, rule, F)
     if kind is ScanKind.COLLOCATION:
         return Minv_C
     eye = np.eye(Kmat.shape[-1])
@@ -106,14 +111,16 @@ def _propagator(kind, rule, K, kappa, mu) -> np.ndarray:
     return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
 
 
-def _full_step(rule: QuadratureRule, kappa, mu, P: np.ndarray) -> np.ndarray:
+def _propagator_at(kind, rule, K, kappa, mu) -> np.ndarray:
+    return _propagator(kind, rule, K, _force_operator(kappa, mu, rule.M + 1))
+
+
+def _full_step(rule: QuadratureRule, F, P: np.ndarray) -> np.ndarray:
     """2x2 step matrices: the end-of-step update of the iterates P U_0."""
-    Mp1 = rule.M + 1
-    zero = np.zeros(Mp1)
-    update = np.vstack([np.concatenate([rule.qQ, zero]), np.concatenate([zero, rule.q])])
-    ones_bar = np.kron(np.eye(2), np.ones((Mp1, 1)))   # (x0, v0) -> U_0
-    free = np.array([[1.0, 1.0], [0.0, 1.0]])
-    return free + update @ _force_operator(kappa, mu, Mp1) @ P @ ones_bar
+    zero = np.zeros_like(rule.q)
+    update = np.block([[rule.qQ, zero], [zero, rule.q]])
+    ones_bar = np.kron(np.eye(2), np.ones((len(zero), 1)))   # (x0, v0) -> U_0
+    return np.array([[1.0, 1.0], [0.0, 1.0]]) + update @ F @ P @ ones_bar
 
 
 def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -131,21 +138,21 @@ def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     """Stack of what ``kind`` measures: iteration, 2x2 step or RK4 matrices."""
     if kind is ScanKind.RKN4:
         return _rkn4(kappa, mu)
+    F = _force_operator(kappa, mu, rule.M + 1)
     if kind in _CONVERGENCE_KINDS:
-        return _iteration(kind, rule, kappa, mu)[0]
-    return _full_step(rule, kappa, mu, _propagator(kind, rule, K, kappa, mu))
+        return _iteration(kind, rule, F)[0]
+    return _full_step(rule, F, _propagator(kind, rule, K, F))
 
 
 def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
     """Spectral radii over a stack of cells.  On ``LinAlgError`` (a singular or
-    non-finite cell) the stack is redone cell by cell; a failed cell reads NaN."""
+    non-finite cell) each half of the stack is redone; a failed cell reads NaN."""
     try:
         return np.abs(np.linalg.eigvals(_matrix(kind, rule, K, kappa, mu))).max(axis=-1)
     except np.linalg.LinAlgError:
-        if len(kappa) == 1:
-            return np.full(1, np.nan)
-        return np.concatenate([_rho(kind, rule, K, kappa[i:i + 1], mu[i:i + 1])
-                               for i in range(len(kappa))])
+        halves = zip(np.array_split(kappa, 2), np.array_split(mu, 2))
+        return (np.full(1, np.nan) if len(kappa) == 1 else
+                np.concatenate([_rho(kind, rule, K, ka, m) for ka, m in halves]))
 
 
 def _cell(stacked, kind, rule, K, dt_kappa: float, dt_mu: float) -> np.ndarray:
@@ -179,12 +186,12 @@ def build_K_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.nd
 def build_P_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                 K: int) -> np.ndarray:
     """Propagator mapping the replicated initial value U_0 to the iterate U^K."""
-    return _cell(_propagator, ScanKind.SDC_STABILITY, rule, K, dt_kappa, dt_mu)
+    return _cell(_propagator_at, ScanKind.SDC_STABILITY, rule, K, dt_kappa, dt_mu)
 
 
 def build_P_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                    K: int) -> np.ndarray:
-    return _cell(_propagator, ScanKind.PICARD_STABILITY, rule, K, dt_kappa, dt_mu)
+    return _cell(_propagator_at, ScanKind.PICARD_STABILITY, rule, K, dt_kappa, dt_mu)
 
 
 def stability_function(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
@@ -202,10 +209,13 @@ def rkn4_amplification(dt_kappa: float, dt_mu: float) -> np.ndarray:
 
 def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,
                 grid: GridSpec = GridSpec()) -> ScanResult:
-    """Spectral radius of the relevant matrix on a rectangular parameter grid."""
+    """Spectral radius of the relevant matrix on a rectangular parameter grid;
+    its cells, row by row, are evaluated in consecutive stacks of at most ``_STACK``."""
     kappa, mu = grid.kappa_axis(), grid.mu_axis()
-    # one stack per kappa row: a stack of the whole grid costs memory, not time
-    rho = np.stack([_rho(kind, rule, K, np.full_like(mu, ka), mu) for ka in kappa])
+    ka, m = np.meshgrid(kappa, mu, indexing="ij", copy=False)
+    rho = np.empty(ka.shape)
+    for cells in (slice(s, s + _STACK) for s in range(0, rho.size, _STACK)):
+        rho.flat[cells] = _rho(kind, rule, K, ka.flat[cells], m.flat[cells])
     failures = [(kappa[i], mu[j]) for i, j in zip(*np.nonzero(np.isnan(rho)))]
     return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho, failures=failures)
 

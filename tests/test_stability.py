@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vvsdc import stability
 from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, NodeState,
                    ScanKind, SweeperConfig, build_K_picard, build_K_sdc, build_P_picard,
                    build_P_sdc, build_rule, make_oscillator, picard_iterate,
@@ -158,13 +159,61 @@ class TestScansAndLimits:
             assert res.stable_mask().all()
 
     def test_scan_fallback_on_failed_cells(self):
-        # the 1e300 row overflows; the stacked call falls back to one cell at
-        # a time, so only that row is NaN and listed as failed
+        # the 1e300 row overflows; the stack is redone in halves down to single
+        # cells, so only that row is NaN and listed as failed
         grid = GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3)
         res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 50, grid)
         assert np.all(np.isfinite(res.rho[0]))
         assert np.all(np.isnan(res.rho[1]))
         assert res.failures == [(1e300, m) for m in res.mu]
+
+    @pytest.mark.parametrize("M", [3, 5])
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("grid, overflowing", [
+        # more than one stack, ending in a partial one that splits a kappa row
+        (GridSpec(kappa_cells=23, mu_cells=13), ()),
+        # the rows at dt*kappa = 5e299 and 1e300 overflow from cell 100 of the first stack
+        (GridSpec(kappa_max=1e300, mu_max=2.0, kappa_cells=3, mu_cells=100),
+         ("sdc-stability", "sdc-convergence", "picard-stability", "rkn4")),
+        # every other cell (dt*mu = 1e300) overflows, all through the first stack
+        (GridSpec(kappa_max=2.0, mu_max=1e300, kappa_cells=150, mu_cells=2),
+         ("picard-stability", "rkn4")),
+    ], ids=["finite", "kappa-overflow", "mu-overflow"])
+    def test_stacked_scan_equals_row_by_row(self, grid, overflowing, kind, M):
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        cells = grid.kappa_cells * grid.mu_cells
+        assert cells > stability._STACK and cells % stability._STACK
+        with np.errstate(all="ignore"):
+            res = scan_domain(kind, rule, 3, grid)
+            ref = np.stack([stability._rho(kind, rule, 3, np.full_like(res.mu, ka), res.mu)
+                            for ka in res.kappa])
+        assert res.rho.dtype == ref.dtype and res.rho.shape == ref.shape
+        assert np.array_equal(res.rho, ref, equal_nan=True)
+        nan_cells = np.argwhere(np.isnan(ref))
+        assert res.failures == [(res.kappa[i], res.mu[j]) for i, j in nan_cells]
+        first = np.isnan(ref.ravel()[:stability._STACK])
+        assert (first.any() and not first.all()) == (kind.value in overflowing)
+
+    def test_one_failed_cell_halves_its_stack(self, monkeypatch):
+        # one non-finite cell in the middle of a full stack: the stack and then
+        # the failing half at each level are redone, not every cell alone
+        grid = GridSpec(kappa_max=2.0, mu_max=2.0, kappa_cells=stability._STACK // 16,
+                        mu_cells=16)
+        clean = scan_domain(ScanKind.SDC_STABILITY, RULE3, 3, grid)
+        bad = (clean.kappa[len(clean.kappa) // 2], clean.mu[9])
+        matrix, sizes = stability._matrix, []
+
+        def poisoned(kind, rule, K, kappa, mu):
+            sizes.append(len(kappa))
+            out = matrix(kind, rule, K, kappa, mu)
+            out[(kappa == bad[0]) & (mu == bad[1])] = np.nan
+            return out
+        monkeypatch.setattr(stability, "_matrix", poisoned)
+        res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 3, grid)
+        assert res.failures == [bad]
+        assert np.array_equal(np.isnan(res.rho), clean.rho != res.rho)
+        levels = int(np.ceil(np.log2(stability._STACK)))
+        assert sizes[0] == stability._STACK and len(sizes) == 1 + 2 * levels
 
     def test_scan_csv_roundtrip(self, tmp_path):
         grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=3, mu_cells=3)
