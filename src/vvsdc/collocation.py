@@ -23,10 +23,6 @@ class NodeState:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def M(self) -> int:
-        return self.X.shape[0] - 1
-
     def copy(self) -> "NodeState":
         return NodeState(self.X.copy(), self.V.copy())
 
@@ -36,7 +32,6 @@ class StepResult:
     x_end: np.ndarray
     v_end: np.ndarray
     f_evals: int
-    iterations_used: int
     final_residual: float
 
 
@@ -112,27 +107,18 @@ def solve_collocation_linear(problem: SecondOrderIVP, u0, dt: float,
 
 
 def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
-                   K: int | None = None, tol: float | None = None,
-                   initial: NodeState | None = None, forces=None):
+                   K: int, initial: NodeState | None = None):
     """Unpreconditioned Richardson iteration on the collocation system.
 
-    Iterates U^{k+1} = C_coll U_0 + dt Q_coll F(U^k) for K steps or until
-    the successive-difference trace drops below ``tol``.  Returns the final
-    state, the trace of infinity-norm updates, and the final force values.
+    Iterates U^{k+1} = C_coll U_0 + dt Q_coll F(U^k) K times, from
+    ``initial`` or else from the free-flight nodes.  Returns the final state,
+    the trace of infinity-norm updates, and the final force values.
     """
-    if K is None and tol is None:
-        raise ValueError("need an iteration count or a tolerance")
     ff = free_flight(u0, dt, rule, problem.d)
     state = ff.copy() if initial is None else initial.copy()
-    if forces is None:
-        F = problem.f_nodes(state.X, state.V)
-    else:
-        F = np.array(forces, float)
+    F = problem.f_nodes(state.X, state.V)
     trace = []
-    k = 0
-    while True:
-        if K is not None and k >= K:
-            break
+    for k in range(K):
         X_new = ff.X + dt * dt * (rule.QQ @ F)
         V_new = ff.V + dt * (rule.Q @ F)
         delta = max(np.max(np.abs(X_new - state.X)), np.max(np.abs(V_new - state.V)))
@@ -142,20 +128,13 @@ def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
             raise DivergenceError(
                 f"Picard iterate exceeded {DIVERGENCE_GUARD:g} or is not finite at k={k}")
         F = np.vstack([F[:1], problem.f_nodes(state.X[1:], state.V[1:])])
-        k += 1
-        if tol is not None and delta <= tol:
-            break
     return state, trace, F
 
 
-def update_step(state: NodeState, u0, dt: float, rule: QuadratureRule,
-                problem: SecondOrderIVP | None = None, forces=None):
-    """End-of-step update from the node values via the q and qQ rows."""
+def update_step(state: NodeState, u0, dt: float, rule: QuadratureRule, forces):
+    """End-of-step update from the node values and their ``forces`` via the
+    q and qQ rows."""
     x0, v0 = _as_u0(u0, state.d)
-    if forces is None:
-        F = problem.f_nodes(state.X, state.V)
-    else:
-        F = forces
-    x_end = x0 + dt * v0 + dt * dt * (rule.qQ @ F)
-    v_end = v0 + dt * (rule.q @ F)
+    x_end = x0 + dt * v0 + dt * dt * (rule.qQ @ forces)
+    v_end = v0 + dt * (rule.q @ forces)
     return x_end, v_end

@@ -20,6 +20,9 @@ from .stability import GridSpec, ScanKind, ScanResult, stability_limit
 
 SATURATION_LOW = 1e-12
 SATURATION_HIGH = 1e2
+_SUBSAMPLE = 10                 # every _SUBSAMPLE-th step of a drift series is kept
+_LIMIT_M = (2, 3, 4, 5, 6)      # node counts of the stability-limit table
+_LIMIT_K = (1, 2, 3, 4)         # sweep counts of the stability-limit table
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +164,15 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # slope fitting
 
-def fit_slope(dts, errs, low=SATURATION_LOW, high=SATURATION_HIGH):
-    """Least-squares slope of log(err) vs log(dt), excluding saturated points.
+def fit_slope(dts, errs):
+    """Least-squares slope of log(err) vs log(dt), excluding saturated points
+    (at most SATURATION_LOW or at least SATURATION_HIGH).
 
     Returns (slope, fit_residual, n_points_used).
     """
     dts = np.asarray(dts, float)
     errs = np.asarray(errs, float)
-    mask = (errs > low) & (errs < high) & np.isfinite(errs)
+    mask = (errs > SATURATION_LOW) & (errs < SATURATION_HIGH) & np.isfinite(errs)
     if mask.sum() < 2:
         return math.nan, math.nan, int(mask.sum())
     x = np.log(dts[mask])
@@ -184,12 +188,6 @@ class OrderReport:
     errors: dict        # label -> error array over dts
     slopes: dict        # label -> fitted slope
     predicted: dict     # label -> theoretical order
-    fit_residuals: dict
-
-    def check(self, label: str, tol: float) -> bool:
-        s = self.slopes.get(label, math.nan)
-        p = self.predicted.get(label)
-        return p is not None and math.isfinite(s) and abs(s - p) <= tol
 
 
 def _predicted_local(p, K, k0, velocity_dependent, var):
@@ -219,7 +217,7 @@ def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
     dts = np.asarray(config.dt_list, float)
     if len(dts) < 4:
         raise ConfigurationError("order studies need at least 4 dt values")
-    errors, slopes, predicted, residuals = {}, {}, {}, {}
+    errors, slopes, predicted = {}, {}, {}
     for K in config.K_list:
         sw = config.sweeper(K)
         runs = [errors_at(config.make_problem(), u0, dt, sw) for dt in dts]
@@ -227,10 +225,10 @@ def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
             for i in range(probe.d):
                 label = f"K{K}_{var}{i + 1}"
                 errors[label] = np.array([run[j][i] for run in runs])
-                slopes[label], residuals[label], _ = fit_slope(dts, errors[label])
+                slopes[label] = fit_slope(dts, errors[label])[0]
                 predicted[label] = predict(
                     sw.rule.order, K, sw.k0, bool(probe.velocity_dependent[i]), var)
-    return OrderReport(dts, errors, slopes, predicted, residuals)
+    return OrderReport(dts, errors, slopes, predicted)
 
 
 def run_local_order(config: ExperimentConfig) -> OrderReport:
@@ -417,14 +415,14 @@ class DriftSeries:
     trend_stderr: float
 
 
-def _fit_trend(steps: np.ndarray, series: np.ndarray, blocks: int = 50):
+def _fit_trend(steps: np.ndarray, series: np.ndarray):
     """Drift of the error envelope: slope of log10(block maxima) vs step.
 
     The raw error series oscillates through near-zeros whose log spikes
-    would dominate a direct fit, so the trend is measured on per-block
-    maxima instead.
+    would dominate a direct fit, so the trend is measured on the maxima of
+    50 blocks instead.
     """
-    edges = np.array_split(np.arange(len(steps)), blocks)
+    edges = np.array_split(np.arange(len(steps)), 50)
     bs = np.array([steps[i].mean() for i in edges if len(i)])
     bm = np.array([series[i].max() for i in edges if len(i)])
     logged = np.log10(np.maximum(bm, 1e-300))
@@ -437,8 +435,7 @@ def _fit_trend(steps: np.ndarray, series: np.ndarray, blocks: int = 50):
     return float(coef[0]), stderr
 
 
-def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, subsample: int,
-                       label: str) -> DriftSeries:
+def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, label: str) -> DriftSeries:
     x, v = float(u0[0]), float(u0[1])
     h0 = 0.5 * (x * x + v * v)
     steps, series = [], []
@@ -450,7 +447,7 @@ def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, subsample: int,
         err = abs(0.5 * (x * x + v * v) - h0) / h0
         if err > max_err:
             max_err = err
-        if n % subsample == 0:
+        if n % _SUBSAMPLE == 0:
             steps.append(n)
             series.append(err)
     steps = np.array(steps)
@@ -461,9 +458,7 @@ def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, subsample: int,
                        trend_stderr=stderr)
 
 
-def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
-                          subsample: int = 10,
-                          guess: GuessStrategy = GuessStrategy.VERLET_SWEEP):
+def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     """Relative discrete-Hamiltonian error series for SDC and RKN-4.
 
     The undamped oscillator is linear, so each fixed-dt method is an affine
@@ -472,19 +467,18 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     linear), which is exact for this problem and keeps the default 1e5-step
     run fast.
 
-    The starting iterate defaults to a velocity-Verlet sweep: with a
-    copied initial value, even iteration counts leave the one-step map
-    marginally unstable at this step size (spectral radius above 1 by
-    ~1e-6), which shows up as slow exponential energy growth over long
-    runs, whereas the verlet start keeps every K in the K=2..4 range
-    conservative.
+    The starting iterate is a velocity-Verlet sweep: with a copied initial
+    value, even iteration counts leave the one-step map marginally unstable
+    at this step size (spectral radius above 1 by ~1e-6), which shows up as
+    slow exponential energy growth over long runs, whereas the verlet start
+    keeps every K in the K=2..4 range conservative.
     """
     if config.problem != "oscillator" or config.kappa != 1.0 or config.mu != 0.0:
         raise ConfigurationError(
             "Hamiltonian drift study needs the undamped oscillator with kappa = 1")
-    if config.n_steps < subsample:
+    if config.n_steps < _SUBSAMPLE:
         raise ConfigurationError(
-            f"Hamiltonian drift study needs n_steps >= {subsample}, the subsample "
+            f"Hamiltonian drift study needs n_steps >= {_SUBSAMPLE}, the subsample "
             f"of its series, got {config.n_steps}")
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
@@ -492,26 +486,24 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5),
     for M in M_list:
         rule = build_rule(config.family, M)
         for K in config.K_list:
-            sw = SweeperConfig(rule=rule, K=K, initial_guess=guess)
+            sw = SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
             problem = config.make_problem()
             S = _step_map(problem, _sdc_stepper(problem, sw), dt)[0]
-            out.append(_drift_from_matrix(S, u0, config.n_steps, subsample,
-                                          f"sdc_M{M}_K{K}"))
+            out.append(_drift_from_matrix(S, u0, config.n_steps, f"sdc_M{M}_K{K}"))
     problem = config.make_problem()
     S = _step_map(problem, _rkn4_stepper(problem), dt)[0]
-    out.append(_drift_from_matrix(S, u0, config.n_steps, subsample, "rkn4"))
+    out.append(_drift_from_matrix(S, u0, config.n_steps, "rkn4"))
     return out
 
 
 # ---------------------------------------------------------------------------
 # stability limits
 
-def run_limits(config: ExperimentConfig, M_values=(2, 3, 4, 5, 6),
-               K_values=(1, 2, 3, 4)):
+def run_limits(config: ExperimentConfig):
     """Stability-limit table on the mu = 0 axis: SDC with Picard alongside."""
     table = {}
-    for K in K_values:
-        for M in M_values:
+    for K in _LIMIT_K:
+        for M in _LIMIT_M:
             rule = build_rule(config.family, M)
             table[(K, M)] = (
                 stability_limit(ScanKind.SDC_STABILITY, rule, K),

@@ -35,12 +35,10 @@ class SweeperConfig:
     K: int = 3
     initial_guess: GuessStrategy = GuessStrategy.COPY_INITIAL
     seed: int = 0
-    residual_tol: float | None = None  # None: fixed K sweeps
-    matrices: PreconditionerMatrices = field(default=None, repr=False)
+    matrices: PreconditionerMatrices = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.matrices is None:
-            self.matrices = build_preconditioner(self.rule)
+        self.matrices = build_preconditioner(self.rule)
 
     @property
     def k0(self) -> int:
@@ -61,27 +59,27 @@ def _random_draws(seed: int, Mp1: int, d: int):
             rng.uniform(-1.0, 1.0, size=(Mp1, d)))
 
 
-def initial_guess(strategy: GuessStrategy, u0, problem: SecondOrderIVP,
-                  dt: float, matrices: PreconditionerMatrices,
-                  Mp1: int, seed: int = 0):
-    """Starting iterate U^0 plus its node forces."""
+def initial_guess(u0, problem: SecondOrderIVP, dt: float,
+                  config: SweeperConfig):
+    """Starting iterate U^0 plus its node forces, by ``config.initial_guess``.
+
+    The Verlet start is the copy start followed by one :func:`sdc_sweep`.
+    The copy's force is constant, and Q_coll and Q_vv integrate a constant
+    alike, so that sweep has no correction term: it is the velocity-Verlet
+    pass through the nodes.
+    """
     x0, v0 = _as_u0(u0, problem.d)
-    if strategy is GuessStrategy.COPY_INITIAL:
-        f0 = problem.f(x0, v0)
-        return NodeState(_rows(x0, Mp1), _rows(v0, Mp1)), _rows(f0, Mp1)
-    if strategy is GuessStrategy.VERLET_SWEEP:
-        rhs_x = _rows(x0, Mp1) + dt * np.cumsum(
-            np.concatenate(([0.0], matrices.dtau)))[:, None] * v0
-        rhs_v = _rows(v0, Mp1)
-        X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, matrices)
-        return NodeState(X, V), F
-    if strategy is GuessStrategy.RANDOM:
-        X, V = (w.copy() for w in _random_draws(operator.index(seed), Mp1,
-                                                problem.d))
+    Mp1 = config.rule.M + 1
+    if config.initial_guess is GuessStrategy.RANDOM:
+        X, V = (w.copy() for w in _random_draws(operator.index(config.seed),
+                                                Mp1, problem.d))
         X[0], V[0] = x0, v0
-        state = NodeState(X, V)
-        return state, problem.f_nodes(X, V)
-    raise ValueError(f"unknown strategy {strategy}")
+        return NodeState(X, V), problem.f_nodes(X, V)
+    state = NodeState(_rows(x0, Mp1), _rows(v0, Mp1))
+    F = _rows(problem.f(x0, v0), Mp1)
+    if config.initial_guess is GuessStrategy.VERLET_SWEEP:
+        return sdc_sweep(problem, state, u0, dt, config, prev_forces=F)
+    return state, F
 
 
 def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
@@ -105,31 +103,24 @@ def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
 
 def sdc_step(problem: SecondOrderIVP, u0, dt: float,
              config: SweeperConfig) -> StepResult:
-    """One full SDC time step: starting guess, sweeps, quadrature update."""
+    """One full SDC time step: starting guess, K sweeps, quadrature update.
+
+    ``final_residual`` is the collocation residual of the last iterate.
+    """
     evals_before = problem.f_evals
-    state, F = initial_guess(config.initial_guess, u0, problem, dt,
-                             config.matrices, config.rule.M + 1, config.seed)
+    state, F = initial_guess(u0, problem, dt, config)
     ff = free_flight(u0, dt, config.rule, problem.d)
-    iterations = 0
-    residual = np.inf
     for _ in range(config.K):
         state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F,
                              ff=ff)
-        iterations += 1
         if not _within_guard(state.X, state.V):
             raise DivergenceError(
                 f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite")
-        if config.residual_tol is not None:
-            residual = collocation_residual(problem, state, u0, dt,
-                                            config.rule, forces=F)
-            if residual <= config.residual_tol:
-                break
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,
                       f_evals=problem.f_evals - evals_before,
-                      iterations_used=iterations,
-                      final_residual=float(residual) if np.isfinite(residual) else
-                      collocation_residual(problem, state, u0, dt, config.rule, forces=F))
+                      final_residual=collocation_residual(problem, state, u0, dt,
+                                                          config.rule, forces=F))
 
 
 def march(step, u0, t0: float, t_end: float, dt: float):

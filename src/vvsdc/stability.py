@@ -31,6 +31,8 @@ class ScanKind(Enum):
 _CONVERGENCE_KINDS = (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE)
 _RUNGS = 64   # coarse rungs of stability_limit per stacked evaluation
 _STACK = 256  # cells per stack in scan_domain; 64, 144, 512 and 1024 scanned slower
+_STABLE_TOL = 1e-8   # a cell is stable if its spectral radius is at most 1 + _STABLE_TOL
+_COARSE_STEP, _UPPER, _BISECT_TOL, _LIMIT_RHO_TOL = 0.1, 100.0, 0.01, 1.5e-11
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,12 @@ class GridSpec:
     mu_min: float = 0.0
 
     def __post_init__(self):
-        bounds = (self.kappa_min, self.kappa_max, self.mu_min, self.mu_max)
-        if not np.all(np.isfinite(bounds)) or min(self.kappa_cells, self.mu_cells) < 1:
+        # the spans too: linspace over a span that overflows yields NaN and inf
+        ends = (self.kappa_min, self.kappa_max, self.mu_min, self.mu_max,
+                self.kappa_max - self.kappa_min, self.mu_max - self.mu_min)
+        if not np.all(np.isfinite(ends)) or min(self.kappa_cells, self.mu_cells) < 1:
             raise ConfigurationError(
-                f"grid needs finite bounds and at least one cell per axis: {self}")
+                f"grid needs finite bounds and spans and at least one cell per axis: {self}")
 
     def kappa_axis(self):
         return np.linspace(self.kappa_min, self.kappa_max, self.kappa_cells)
@@ -64,8 +68,8 @@ class ScanResult:
     rho: np.ndarray     # (n_kappa, n_mu) spectral radii, NaN where assembly failed
     failures: list = field(default_factory=list)   # (dt_kappa, dt_mu) of failed cells
 
-    def stable_mask(self, tol: float = 1e-8) -> np.ndarray:
-        return self.rho <= 1.0 + tol
+    def stable_mask(self) -> np.ndarray:
+        return self.rho <= 1.0 + _STABLE_TOL
 
 
 def _force_operator(kappa: np.ndarray, mu: np.ndarray, Mp1: int) -> np.ndarray:
@@ -220,38 +224,36 @@ def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,
     return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho, failures=failures)
 
 
-def stability_limit(kind: ScanKind, rule: QuadratureRule, K: int,
-                    coarse_step: float = 0.1, upper: float = 100.0,
-                    tol: float = 0.01, rho_tol: float = 1.5e-11) -> float:
+def stability_limit(kind: ScanKind, rule: QuadratureRule, K: int) -> float:
     """Largest dt*kappa on the mu = 0 axis before the first loss of stability.
 
-    Coarse scan in ``coarse_step`` increments, then bisection of the first
-    stable/unstable bracket down to ``tol``.
+    Coarse scan in ``_COARSE_STEP`` increments up to ``_UPPER``, then
+    bisection of the first stable/unstable bracket down to ``_BISECT_TOL``.
 
-    ``rho_tol`` is much tighter than the 1e-8 used for domain classification:
-    for even K the spectral radius on the undamped axis exceeds 1 only by
-    amounts that grow smoothly from ~1e-14 upward, so the quoted limits for
-    those rows are threshold-sensitive and a loose tolerance would overstate
-    them severalfold.
+    ``_LIMIT_RHO_TOL`` = 1.5e-11 is much tighter than the _STABLE_TOL used for
+    domain classification: for even K the spectral radius on the undamped
+    axis exceeds 1 only by amounts that grow smoothly from ~1e-14 upward, so
+    the quoted limits for those rows are threshold-sensitive and a loose
+    tolerance would overstate them severalfold.
     """
     def stable(ka: np.ndarray) -> np.ndarray:
-        return _rho(kind, rule, K, ka, np.zeros_like(ka)) <= 1.0 + rho_tol
+        return _rho(kind, rule, K, ka, np.zeros_like(ka)) <= 1.0 + _LIMIT_RHO_TOL
 
-    # cumsum adds in sequence: the same floats as repeated ``ka += coarse_step``
-    ladder = np.cumsum(np.full(int(upper / coarse_step) + 2, coarse_step))
-    ladder = ladder[ladder <= upper + 1e-9]
+    # cumsum adds in sequence: the same floats as repeated ``ka += _COARSE_STEP``
+    ladder = np.cumsum(np.full(int(_UPPER / _COARSE_STEP) + 2, _COARSE_STEP))
+    ladder = ladder[ladder <= _UPPER + 1e-9]
     # most limits lie in the first few hundred rungs: all at once costs time and memory
     for start in range(0, len(ladder), _RUNGS):
         coarse = stable(ladder[start:start + _RUNGS])
         if not coarse.all():
             break
     else:
-        return float(upper)
+        return _UPPER
     first = start + int(np.argmin(coarse))
     if first == 0:
         return 0.0
     lo, hi = float(ladder[first - 1]), float(ladder[first])
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if stable(np.array([mid]))[0] else (lo, mid)
     return 0.5 * (lo + hi)

@@ -63,7 +63,8 @@ def test_collocation_superconvergent_order():
     errs = []
     for dt in dts:
         state = solve_collocation_linear(problem, u0, dt, rule)
-        _, v_end = update_step(state, u0, dt, rule, problem=problem)
+        _, v_end = update_step(state, u0, dt, rule,
+                               forces=problem.f_nodes(state.X, state.V))
         _, ve = exact_solution(problem, dt, *u0)
         errs.append(abs(v_end[0] - ve[0]))
     slope, _, _ = fit_slope(dts, errs)
@@ -110,7 +111,8 @@ def test_update_step_free_flight():
     problem = make_oscillator(0.0, 0.0)
     u0 = (np.array([1.0]), np.array([2.0]))
     state = free_flight(u0, 0.5, RULE3, 1)
-    x_end, v_end = update_step(state, u0, 0.5, RULE3, problem=problem)
+    x_end, v_end = update_step(state, u0, 0.5, RULE3,
+                               forces=problem.f_nodes(state.X, state.V))
     assert x_end[0] == pytest.approx(2.0)
     assert v_end[0] == pytest.approx(2.0)
 
@@ -122,7 +124,8 @@ def test_update_step_constant_force():
     u0 = (np.array([1.0]), np.array([2.0]))
     dt = 0.7
     state = free_flight(u0, dt, RULE3, 1)  # node values irrelevant: f constant
-    x_end, v_end = update_step(state, u0, dt, RULE3, problem=problem)
+    x_end, v_end = update_step(state, u0, dt, RULE3,
+                               forces=problem.f_nodes(state.X, state.V))
     assert v_end[0] == pytest.approx(2.0 + dt * g)
     assert x_end[0] == pytest.approx(1.0 + dt * 2.0 + dt * dt * g / 2.0)
 

@@ -114,6 +114,14 @@ class TestConfig:
         documented = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", text, re.M)
         assert documented == list(CONFIG_KEYS)
 
+    def test_readme_quick_start_runs(self, capsys):
+        # the python block runs as written, so a changed signature cannot
+        # leave it stale; Penning with the copy start costs M K + 1 = 10
+        # f-evals per step, over 200 steps
+        code = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        exec(compile(code, str(README), "exec"), {})
+        assert capsys.readouterr().out.split()[-1] == "2000"
+
 
 class TestFitSlope:
     def test_recovers_exact_power_law(self):

@@ -7,7 +7,8 @@ from vvsdc import (NodeFamily, PenningParams, SolverError, SweeperConfig,
                    build_preconditioner, build_rule, integrate, make_oscillator,
                    make_penning, verlet_solve)
 from vvsdc.baselines import verlet_step
-from vvsdc.preconditioner import _FP_TOL, _node_factor, _solve_node_velocity
+from vvsdc.preconditioner import (_FP_RTOL, _FP_TOL, _node_factor,
+                                  _solve_node_velocity)
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -179,7 +180,29 @@ def test_magnetic_node_solves_match_direct_solve(warm):
                 v_direct = np.linalg.solve(np.eye(3) - c * L.T, b)
                 assert V[m] == pytest.approx(v_direct, rel=0, abs=1e-12)
                 assert np.array_equal(F[m], problem.force(X[m], V[m]))
-                assert np.max(np.abs(V[m] - b - c * F[m])) <= _FP_TOL
+                v_new = b + c * F[m]
+                assert (np.max(np.abs(V[m] - v_new))
+                        <= _FP_TOL + _FP_RTOL * np.max(np.abs(v_new)))
+
+
+@pytest.mark.parametrize("speed, dt, budget", [(1e3, 0.06, 3e-7), (1e4, 0.1, 1e-5)])
+def test_fixed_point_stop_test_scales_with_speed(speed, dt, budget):
+    # a uniform field declared without linear parts takes the fixed-point
+    # loop; at these speeds an update of 1e-13 is below round-off, so an
+    # absolute stop test alone raises SolverError
+    B = np.array([0.0, 0.0, 5.0])
+    problem = SecondOrderIVP(d=3, force=lambda x, v: np.cross(v, B),
+                             velocity_dependent=np.ones(3, dtype=bool))
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=3)
+    v0 = np.array([speed, 0.0, 0.0])
+    times, results = integrate(problem, (np.zeros(3), v0), 0.0, 10 * dt, dt, cfg)
+    assert len(results) == 10
+    # exact gyration: v' = v x B turns v clockwise about z at rate |B| = 5
+    wt = 5.0 * times[-1]
+    exact = np.concatenate([speed / 5.0 * np.array([np.sin(wt), np.cos(wt) - 1.0, 0.0]),
+                            speed * np.array([np.cos(wt), -np.sin(wt), 0.0])])
+    got = np.concatenate([results[-1].x_end, results[-1].v_end])
+    assert np.max(np.abs(got - exact)) <= budget * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("make", [

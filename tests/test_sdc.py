@@ -19,20 +19,25 @@ RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 PRE3 = build_preconditioner(RULE3)
 
 
+def _start(strategy, rule=RULE3, seed=0):
+    return SweeperConfig(rule=rule, initial_guess=strategy, seed=seed)
+
+
+COPY3, VERLET3 = _start(GuessStrategy.COPY_INITIAL), _start(GuessStrategy.VERLET_SWEEP)
+
+
 class TestInitialGuess:
     def test_copy_initial(self):
         problem = make_oscillator(1.0, 0.0)
-        state, _ = initial_guess(GuessStrategy.COPY_INITIAL,
-                                 (np.array([1.0]), np.array([2.0])),
-                                 problem, 0.5, PRE3, 4)
+        state, _ = initial_guess((np.array([1.0]), np.array([2.0])),
+                                 problem, 0.5, COPY3)
         assert state.X == pytest.approx(np.ones((4, 1)))
         assert state.V == pytest.approx(2.0 * np.ones((4, 1)))
 
     def test_verlet_free_flight(self):
         problem = make_oscillator(0.0, 0.0)
         u0 = (np.array([1.0]), np.array([2.0]))
-        state, _ = initial_guess(GuessStrategy.VERLET_SWEEP, u0, problem,
-                                 0.5, PRE3, 4)
+        state, _ = initial_guess(u0, problem, 0.5, VERLET3)
         ff = free_flight(u0, 0.5, RULE3, 1)
         assert state.X == pytest.approx(ff.X, abs=1e-14)
         assert state.V == pytest.approx(ff.V, abs=1e-14)
@@ -40,37 +45,36 @@ class TestInitialGuess:
     def test_random_deterministic(self):
         problem = make_oscillator(1.0, 0.0)
         u0 = (np.array([1.0]), np.array([2.0]))
-        a, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.5, PRE3, 4,
-                             seed=42)
-        b, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.5, PRE3, 4,
-                             seed=42)
+        a, _ = initial_guess(u0, problem, 0.5, _start(GuessStrategy.RANDOM, seed=42))
+        b, _ = initial_guess(u0, problem, 0.5, _start(GuessStrategy.RANDOM, seed=42))
         assert np.array_equal(a.X, b.X) and np.array_equal(a.V, b.V)
         assert a.X[0, 0] == 1.0 and a.V[0, 0] == 2.0
         assert np.all(np.abs(a.X[1:]) <= 1.0)
         # the draws are made once per seed, so a stateful seed is refused
         with pytest.raises(TypeError):
-            initial_guess(GuessStrategy.RANDOM, u0, problem, 0.5, PRE3, 4,
-                          seed=np.random.default_rng(42))
+            initial_guess(u0, problem, 0.5, _start(GuessStrategy.RANDOM,
+                                                   seed=np.random.default_rng(42)))
 
     @pytest.mark.parametrize("seed, Mp1, d", [(42, 4, 1), (42, 4, 3), (7, 4, 3),
                                               (42, 6, 3)])
     def test_random_draws_are_fresh_copies(self, seed, Mp1, d):
         problem = make_penning() if d == 3 else make_oscillator(1.0, 0.0)
         u0 = (np.full(d, 0.5), np.full(d, -0.5))
-        pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, Mp1 - 1))
-        a, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.1, pre, Mp1, seed)
+        cfg = _start(GuessStrategy.RANDOM, build_rule(NodeFamily.GAUSS_LEGENDRE, Mp1 - 1),
+                     seed)
+        a, _ = initial_guess(u0, problem, 0.1, cfg)
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1.0, 1.0, size=(Mp1, d))
         V = rng.uniform(-1.0, 1.0, size=(Mp1, d))
         assert np.array_equal(a.X[1:], X[1:]) and np.array_equal(a.V[1:], V[1:])
         a.X[:] = 9.0
         a.V[:] = 9.0
-        b, _ = initial_guess(GuessStrategy.RANDOM, u0, problem, 0.1, pre, Mp1, seed)
+        b, _ = initial_guess(u0, problem, 0.1, cfg)
         assert np.array_equal(b.X[1:], X[1:]) and np.array_equal(b.V[1:], V[1:])
         assert np.array_equal(b.X[0], u0[0]) and np.array_equal(b.V[0], u0[1])
         # the seed, M and d each change the draws (V starts at draw (M+1) d)
-        base, _ = initial_guess(GuessStrategy.RANDOM, (np.zeros(3), np.zeros(3)),
-                                make_penning(), 0.1, PRE3, 4, 42)
+        base, _ = initial_guess((np.zeros(3), np.zeros(3)), make_penning(), 0.1,
+                                _start(GuessStrategy.RANDOM, seed=42))
         assert np.array_equal(b.V[1:4, :1], base.V[1:4, :1]) == (
             (seed, Mp1, d) == (42, 4, 3))
 
@@ -125,8 +129,7 @@ class TestSweep:
         problem = make_oscillator(2.0, 0.0)
         u0 = (np.array([1.0]), np.array([0.0]))
         cfg = SweeperConfig(rule=RULE3)
-        state, F = initial_guess(GuessStrategy.COPY_INITIAL, u0, problem,
-                                 0.1, PRE3, 4)
+        state, F = initial_guess(u0, problem, 0.1, COPY3)
         before = problem.f_evals
         sdc_sweep(problem, state, u0, 0.1, cfg, prev_forces=F)
         assert problem.f_evals - before == RULE3.M
@@ -151,7 +154,8 @@ class TestStep:
             X.append(x)
             V.append(v)
         state = NodeState(np.array(X), np.array(V))
-        x_end, v_end = update_step(state, u0, dt, RULE3, problem=ref)
+        x_end, v_end = update_step(state, u0, dt, RULE3,
+                                   forces=ref.f_nodes(state.X, state.V))
         assert res.x_end == pytest.approx(x_end, abs=1e-10)
         assert res.v_end == pytest.approx(v_end, abs=1e-10)
 
@@ -196,14 +200,6 @@ class TestStep:
             res = sdc_step(problem, u0, 0.01, cfg)
             assert res.f_evals == RULE3.M * K + 1
 
-    def test_residual_stopping(self):
-        problem = make_oscillator(1.0, 0.0)
-        u0 = (np.array([1.0]), np.array([0.0]))
-        cfg = SweeperConfig(rule=RULE3, K=50, residual_tol=1e-12)
-        res = sdc_step(problem, u0, 0.3, cfg)
-        assert res.iterations_used < 50
-        assert res.final_residual <= 1e-12
-
     def test_divergence_guard(self):
         problem = make_oscillator(30.0, 0.0)
         u0 = (np.array([1.0]), np.array([0.0]))
@@ -244,15 +240,37 @@ class TestBitIdentity:
         cfg = SweeperConfig(rule=RULE3, K=3, initial_guess=strategy, seed=7)
         res = sdc_step(make(), u0, dt, cfg)
         problem = make()
-        state, F = initial_guess(strategy, u0, problem, dt, cfg.matrices,
-                                 RULE3.M + 1, cfg.seed)
+        state, F = initial_guess(u0, problem, dt, cfg)
         for _ in range(cfg.K):
             state, F = sdc_sweep(problem, state, u0, dt, cfg, prev_forces=F)
         x_end, v_end = update_step(state, u0, dt, RULE3, forces=F)
         assert np.array_equal(res.x_end, x_end) and np.array_equal(res.v_end, v_end)
         assert res.final_residual == collocation_residual(problem, state, u0, dt,
                                                           RULE3, forces=F)
-        assert res.f_evals == problem.f_evals and res.iterations_used == cfg.K
+        assert res.f_evals == problem.f_evals
+
+    @pytest.mark.parametrize("M, K", [(3, 2), (5, 4), (3, 3)])
+    @pytest.mark.parametrize("make", [make_penning, lambda: make_oscillator(1.0, 0.0),
+                                      _mirror_like], ids=["penning", "oscillator", "mirror"])
+    def test_verlet_start_is_copy_start_plus_one_sweep(self, make, M, K):
+        # the copy start's force is constant, and Q_coll and Q_vv integrate
+        # a constant alike, so its first sweep is the velocity-Verlet pass
+        d = make().d
+        u0 = (np.linspace(1.0, -1.0, d), np.linspace(3.0, 5.0, d))
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        verlet, copy = (
+            integrate(make(), u0, 0.0, 0.2, 0.02,
+                      SweeperConfig(rule=rule, K=k, initial_guess=start))[1]
+            for k, start in ((K, GuessStrategy.VERLET_SWEEP),
+                             (K + 1, GuessStrategy.COPY_INITIAL)))
+        assert len(verlet) == len(copy) == 10
+        for a, b in zip(verlet, copy):
+            assert a.f_evals == b.f_evals
+            for p, q in ((a.x_end, b.x_end), (a.v_end, b.v_end)):
+                if make is _mirror_like:
+                    assert np.max(np.abs(p - q)) <= 1e-14 * np.max(np.abs(q))
+                else:
+                    assert np.array_equal(p, q)
 
     def test_sweep_from_converged_state_costs_one_eval_per_node(self):
         # every node solve of the sweep starts from the previous iterate's
@@ -260,13 +278,12 @@ class TestBitIdentity:
         # converged, so each node costs the one f-eval that checks it
         u0 = (np.array([1.0, 2.0, -1.0]), np.array([3.0, -2.0, 5.0]))
         dt = 0.02
-        cfg = SweeperConfig(rule=RULE3, K=20, residual_tol=1e-12)
+        cfg = SweeperConfig(rule=RULE3, K=20)
         res = sdc_step(_mirror_like(), u0, dt, cfg)
-        assert res.final_residual <= 1e-12 and res.iterations_used < cfg.K
+        assert res.final_residual <= 1e-12
         problem = _mirror_like()
-        state, F = initial_guess(cfg.initial_guess, u0, problem, dt, cfg.matrices,
-                                 RULE3.M + 1)
-        for _ in range(res.iterations_used):
+        state, F = initial_guess(u0, problem, dt, cfg)
+        for _ in range(cfg.K):
             state, F = sdc_sweep(problem, state, u0, dt, cfg, prev_forces=F)
         x_end, _ = update_step(state, u0, dt, RULE3, forces=F)
         assert np.array_equal(x_end, res.x_end)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from vvsdc import stability
-from vvsdc import (AnalysisError, GridSpec, GuessStrategy, NodeFamily, NodeState,
-                   ScanKind, SweeperConfig, build_K_picard, build_K_sdc, build_P_picard,
-                   build_P_sdc, build_rule, make_oscillator, picard_iterate,
-                   rkn4_amplification, scan_domain, spectral_radius,
-                   stability_function, stability_limit, update_step)
+from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
+                   NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_picard,
+                   build_K_sdc, build_P_picard, build_P_sdc, build_rule,
+                   make_oscillator, picard_iterate, rkn4_amplification,
+                   scan_domain, spectral_radius, stability_function,
+                   stability_limit, update_step)
 from vvsdc.collocation import solve_collocation_linear
 from vvsdc.harness import (_rkn4_stepper, _sdc_stepper, _step_map, scan_rows,
                            write_csv)
@@ -157,6 +158,14 @@ class TestScansAndLimits:
         if kind is ScanKind.SDC_CONVERGENCE:
             assert res.rho[0, 0] == pytest.approx(0.0, abs=1e-12)
             assert res.stable_mask().all()
+
+    @pytest.mark.parametrize("bounds", [{"mu_min": -1e308, "mu_max": 1e308},
+                                        {"kappa_min": -1e308, "kappa_max": 1e308}],
+                             ids=["mu", "kappa"])
+    def test_grid_span_overflow_is_configuration_error(self, bounds):
+        # finite bounds whose span overflows would put NaN and inf on the axis
+        with pytest.raises(ConfigurationError, match="spans"):
+            GridSpec(mu_cells=9, kappa_cells=9, **bounds)
 
     def test_scan_fallback_on_failed_cells(self):
         # the 1e300 row overflows; the stack is redone in halves down to single
