@@ -14,9 +14,8 @@ from .problems import (PenningParams, SecondOrderIVP, exact_solution,
 from .quadrature import NodeFamily, QuadratureRule, build_rule, generate_nodes
 from .sdc import (GuessStrategy, SweeperConfig, initial_guess, integrate,
                   sdc_step, sdc_sweep)
-from .stability import (GridSpec, ScanKind, ScanResult, build_K_picard,
-                        build_K_sdc, build_P_picard, build_P_sdc,
-                        rkn4_amplification, scan_domain, spectral_radius,
+from .stability import (GridSpec, ScanKind, ScanResult, build_K_sdc,
+                        build_P_sdc, scan_domain, spectral_radius,
                         stability_function, stability_limit)
 
 __all__ = [
@@ -24,11 +23,11 @@ __all__ = [
     "GridSpec", "GuessStrategy", "NodeFamily", "NodeState", "PenningParams",
     "PreconditionerMatrices", "QuadratureRule", "ScanKind", "ScanResult",
     "SecondOrderIVP", "StepResult", "SweeperConfig",
-    "build_K_picard", "build_K_sdc", "build_P_picard", "build_P_sdc",
+    "build_K_sdc", "build_P_sdc",
     "build_preconditioner", "build_rule",
     "collocation_residual", "exact_solution", "free_flight", "generate_nodes",
     "initial_guess", "integrate", "make_oscillator", "make_penning",
-    "picard_iterate", "rkn4_amplification", "scan_domain",
+    "picard_iterate", "scan_domain",
     "sdc_step", "sdc_sweep", "solve_collocation_linear", "spectral_radius",
     "stability_function", "stability_limit", "update_step", "verlet_solve",
 ]

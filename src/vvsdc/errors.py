@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the sweep-count check."""
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -20,3 +21,9 @@ class DivergenceError(RuntimeError):
 
 class AnalysisError(RuntimeError):
     """A stability-analysis matrix could not be assembled (singular system)."""
+
+
+def _check_sweeps(K):
+    """A sweep count ``K`` that is not an integer >= 0 is a ConfigurationError."""
+    if not (isinstance(K, numbers.Integral) and K >= 0):
+        raise ConfigurationError(f"K must be an integer >= 0, got {K!r}")

@@ -6,6 +6,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -70,10 +71,10 @@ def _positive(text):
     return value
 
 
-def _count(text):
+def _at_least(low, text):
     value = int(text)
-    if value < 1:
-        raise ValueError(f"needs a count of at least 1, got {value}")
+    if value < low:
+        raise ValueError(f"needs an integer of at least {low}, got {value}")
     return value
 
 
@@ -101,13 +102,13 @@ CONFIG_KEYS = {
     ("problem", "v0"): ("penning.v0", _values(float)),
     ("rule", "family"): ("family", NodeFamily.from_name),
     ("rule", "m"): ("M", int),
-    ("sweeper", "k"): ("K_list", lambda text: (int(text),)),
-    ("sweeper", "k_list"): ("K_list", _values(int)),
+    ("sweeper", "k"): ("K_list", lambda text: (_at_least(0, text),)),
+    ("sweeper", "k_list"): ("K_list", _values(partial(_at_least, 0))),
     ("sweeper", "initial_guess"): ("initial_guess", lambda text: GuessStrategy(text.lower())),
-    ("sweeper", "seed"): ("seed", int),
+    ("sweeper", "seed"): ("seed", partial(_at_least, 0)),
     ("run", "dt_list"): ("dt_list", _values(_positive)),
     ("run", "t_end"): ("t_end", _positive),
-    ("run", "n_steps"): ("n_steps", _count),
+    ("run", "n_steps"): ("n_steps", partial(_at_least, 1)),
     ("run", "hamiltonian_dt"): ("hamiltonian_dt", _positive),
     ("run", "methods"): ("methods", _values(str)),
     ("run", "kappa_max"): ("grid.kappa_max", float),

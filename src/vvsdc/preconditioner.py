@@ -18,16 +18,14 @@ _FP_MAXITER = 100
 
 @dataclass(frozen=True)
 class PreconditionerMatrices:
-    QE: np.ndarray    # strictly lower triangular, cumulative node spacings
-    QI: np.ndarray    # same spacings shifted one column right
-    QT: np.ndarray    # (QE + QI) / 2, trapezoidal force weights
-    Qx: np.ndarray    # QE @ QT + (QE * QE) / 2, position weights
-    dtau: np.ndarray  # (M,) node spacings on the unit interval
+    QT: np.ndarray     # (QE + QI) / 2, trapezoidal force weights
+    Qx: np.ndarray     # QE @ QT + (QE * QE) / 2, position weights
     QQ_Qx: np.ndarray  # rule.QQ - Qx, position correction block of a sweep
     Q_QT: np.ndarray   # rule.Q - QT, velocity correction block of a sweep
 
 
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
+    """QT and Qx from QE (node spacings below the diagonal) and QI (QE one column right)."""
     M = rule.M
     dtau = np.diff(rule.tau)
     QE = np.zeros((M + 1, M + 1))
@@ -37,8 +35,7 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
         QI[m, 1:m + 1] = dtau[:m]
     QT = 0.5 * (QE + QI)
     Qx = QE @ QT + 0.5 * QE * QE
-    return PreconditionerMatrices(QE=QE, QI=QI, QT=QT, Qx=Qx, dtau=dtau,
-                                  QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
+    return PreconditionerMatrices(QT=QT, Qx=Qx, QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
 
 
 @lru_cache(maxsize=256)
@@ -94,29 +91,25 @@ def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt, weight, f_start,
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
-                 dt: float, matrices: PreconditionerMatrices, forces=None):
+                 dt: float, matrices: PreconditionerMatrices, forces):
     """Solve M_vv(U) = rhs by one velocity-Verlet pass through the nodes.
 
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
     ``forces``, the (M+1, d) node forces of the previous iterate, fixes the
     node-0 force (row 0) and starts each fixed-point node solve from the
-    velocity its row m gives (see :func:`_solve_node_velocity`).  Without
-    it, the node-0 force is evaluated and node m starts from the force just
-    found at node m-1.
+    velocity its row m gives (see :func:`_solve_node_velocity`).
     Returns the node states together with the force values at all nodes,
     so callers can reuse them without re-evaluating.
     """
-    Mp1 = rhs_x.shape[0]
     X = np.array(rhs_x, dtype=float)
     V = np.array(rhs_v, dtype=float)
     F = np.empty_like(X)   # every row is set below
-    F[0] = problem.f(X[0], V[0]) if forces is None else np.asarray(forces[0], float)
+    F[0] = forces[0]
     QT, Qx = matrices.QT, matrices.Qx
     dt2 = dt * dt
-    for m in range(1, Mp1):
+    for m in range(1, len(X)):
         X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
         b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
-        f_start = F[m - 1] if forces is None else forces[m]
         V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt, QT[m, m],
-                                          f_start, m)
+                                          forces[m], m)
     return X, V, F

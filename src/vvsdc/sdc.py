@@ -12,7 +12,7 @@ import numpy as np
 from .collocation import (DIVERGENCE_GUARD, NodeState, StepResult, _as_u0,
                           _rows, _within_guard, collocation_residual,
                           free_flight, update_step)
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, _check_sweeps
 from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
@@ -38,6 +38,7 @@ class SweeperConfig:
     matrices: PreconditionerMatrices = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_sweeps(self.K)
         self.matrices = build_preconditioner(self.rule)
 
     @property

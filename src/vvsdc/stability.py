@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import AnalysisError, ConfigurationError
+from .errors import AnalysisError, ConfigurationError, _check_sweeps
 from .preconditioner import build_preconditioner
 from .quadrature import QuadratureRule
 
@@ -110,13 +111,10 @@ def _propagator(kind, rule, K, F) -> np.ndarray:
     Kmat, Minv_C = _iteration(kind, rule, F)
     if kind is ScanKind.COLLOCATION:
         return Minv_C
+    _check_sweeps(K)
     eye = np.eye(Kmat.shape[-1])
     Kpow = np.linalg.matrix_power(Kmat, K)
     return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
-
-
-def _propagator_at(kind, rule, K, kappa, mu) -> np.ndarray:
-    return _propagator(kind, rule, K, _force_operator(kappa, mu, rule.M + 1))
 
 
 def _full_step(rule: QuadratureRule, F, P: np.ndarray) -> np.ndarray:
@@ -159,10 +157,10 @@ def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
                 np.concatenate([_rho(kind, rule, K, ka, m) for ka, m in halves]))
 
 
-def _cell(stacked, kind, rule, K, dt_kappa: float, dt_mu: float) -> np.ndarray:
-    """A stacked evaluation at one cell; a singular system is an AnalysisError."""
+def _cell(stacked, dt_kappa: float, dt_mu: float) -> np.ndarray:
+    """``stacked(kappa, mu)`` at one cell; a singular system is an AnalysisError."""
     try:
-        return stacked(kind, rule, K, np.array([dt_kappa]), np.array([dt_mu]))[0]
+        return stacked(np.array([dt_kappa]), np.array([dt_mu]))[0]
     except np.linalg.LinAlgError as exc:
         raise AnalysisError(f"singular at dt*kappa={dt_kappa}, dt*mu={dt_mu}") from exc
 
@@ -179,36 +177,23 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 def build_K_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.ndarray:
     """SDC iteration matrix (I - Q_vv F)^(-1) (Q_coll - Q_vv) F at dt = 1."""
-    return _cell(_matrix, ScanKind.SDC_CONVERGENCE, rule, None, dt_kappa, dt_mu)
-
-
-def build_K_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.ndarray:
-    """Picard iteration matrix Q_coll F; the SDC matrix with Q_vv zeroed."""
-    return _cell(_matrix, ScanKind.PICARD_CONVERGENCE, rule, None, dt_kappa, dt_mu)
+    return _cell(partial(_matrix, ScanKind.SDC_CONVERGENCE, rule, None), dt_kappa, dt_mu)
 
 
 def build_P_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                 K: int) -> np.ndarray:
     """Propagator mapping the replicated initial value U_0 to the iterate U^K."""
-    return _cell(_propagator_at, ScanKind.SDC_STABILITY, rule, K, dt_kappa, dt_mu)
-
-
-def build_P_picard(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
-                   K: int) -> np.ndarray:
-    return _cell(_propagator_at, ScanKind.PICARD_STABILITY, rule, K, dt_kappa, dt_mu)
+    return _cell(lambda kappa, mu: _propagator(
+        ScanKind.SDC_STABILITY, rule, K, _force_operator(kappa, mu, rule.M + 1)),
+        dt_kappa, dt_mu)
 
 
 def stability_function(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
-                       K: int, kind: ScanKind = ScanKind.SDC_STABILITY) -> np.ndarray:
-    """2x2 one-step amplification matrix of a full step at dt = 1."""
-    if kind in _CONVERGENCE_KINDS or kind is ScanKind.RKN4:
-        raise AnalysisError(f"no stability function for kind {kind}")
-    return _cell(_matrix, kind, rule, K, dt_kappa, dt_mu)
-
-
-def rkn4_amplification(dt_kappa: float, dt_mu: float) -> np.ndarray:
-    """One-step matrix of classical RK4 on the companion system at dt = 1."""
-    return _cell(_matrix, ScanKind.RKN4, None, None, dt_kappa, dt_mu)
+                       K: int | None, kind: ScanKind = ScanKind.SDC_STABILITY) -> np.ndarray:
+    """The one-cell matrix at dt = 1 whose spectral radius :func:`scan_domain` maps:
+    the 2x2 one-step matrix for the stability kinds, RKN4 and collocation, the
+    iteration matrix for the convergence kinds.  Only the stability kinds read K."""
+    return _cell(partial(_matrix, kind, rule, K), dt_kappa, dt_mu)
 
 
 def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,

@@ -60,9 +60,11 @@ class TestVerlet:
         tau = np.concatenate(([0.0], rule.nodes))
         rhs_x = x0[None, :] + dt * tau[:, None] * v0[None, :]
         rhs_v = np.tile(v0, (rule.M + 1, 1))
-        X, V, _ = verlet_solve(problem, rhs_x, rhs_v, dt, pre)
+        # the copy start's forces: f(x0, v0) at every node
+        forces = np.tile(problem.f(x0, v0), (rule.M + 1, 1))
+        X, V, _ = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces)
         x, v, f = np.array(x0), np.array(v0), None
-        for m, sub in enumerate(pre.dtau * dt, start=1):
+        for m, sub in enumerate(np.diff(rule.tau) * dt, start=1):
             x, v, f = verlet_step(make_penning(), x, v, sub, f_prev=f)
             assert X[m] == pytest.approx(x, abs=1e-12)
             assert V[m] == pytest.approx(v, abs=1e-12)

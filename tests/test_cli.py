@@ -168,3 +168,15 @@ def test_bad_t_end_exits_2(tmp_path, capsys, t_end):
     # 1e-13 is positive but within the end guard of the time march
     assert _run(tmp_path, "integrate", f"[run]\nt_end = {t_end}\n")[0] == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("stability-map", ("--K", "-1")), ("integrate", ("--K", "-1")),
+    ("local-order", ("--K", "2", "-1")), ("local-order", ("--seed", "-1"))],
+    ids=["stability-map-K", "integrate-K", "local-order-K", "local-order-seed"])
+def test_negative_sweep_count_or_seed_exits_2(tmp_path, capsys, command, flags):
+    # unchecked, these give a NaN map, steps without sweeps, predicted
+    # orders of -1, or NumPy's traceback for a negative seed
+    code, out = _run(tmp_path, command, TINY, *flags)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

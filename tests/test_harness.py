@@ -74,9 +74,10 @@ class TestConfig:
         "[rule]\nm = abc\n", "[run]\ndt_list = 0.1 x\n",
         "[sweeper]\ninitial_guess = bogus\n", "[problem]\nx0 = 1 2\n",
         "[problem]\nv0 = 1 2 3 4\n", "[sweeper]\nk_list =\n", "[run]\nmethods =\n",
-        "m = 3\n"],
+        "m = 3\n", "[sweeper]\nk = -1\n", "[sweeper]\nk_list = 2 -1\n",
+        "[sweeper]\nseed = -1\n"],
         ids=["m", "dt_list", "initial_guess", "x0", "v0", "empty_k_list", "empty_methods",
-             "no_section"])
+             "no_section", "negative_k", "negative_k_list", "negative_seed"])
     def test_malformed_value_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -14,33 +14,16 @@ from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 def test_legendre_M1_matrices():
     pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 1))
-    assert pre.QE == pytest.approx(np.array([[0.0, 0.0], [0.5, 0.0]]))
-    assert pre.QI == pytest.approx(np.array([[0.0, 0.0], [0.0, 0.5]]))
     assert pre.QT == pytest.approx(np.array([[0.0, 0.0], [0.25, 0.25]]))
     assert pre.Qx == pytest.approx(np.array([[0.0, 0.0], [0.125, 0.0]]))
-    assert pre.dtau == pytest.approx([0.5])
 
 
 def test_triangular_structure():
     for family in NodeFamily:
         for M in range(2, 8):
             pre = build_preconditioner(build_rule(family, M))
-            assert np.allclose(pre.QE, np.tril(pre.QE, -1))
             assert np.allclose(pre.Qx, np.tril(pre.Qx, -1))
-            assert np.allclose(pre.QI, np.tril(pre.QI))
-            assert np.all(pre.QI[:, 0] == 0)
-            assert pre.QT == pytest.approx(0.5 * (pre.QE + pre.QI))
-            assert pre.Qx == pytest.approx(pre.QE @ pre.QT + 0.5 * pre.QE * pre.QE)
-
-
-def test_dtau_nonnegative_and_bounded():
-    # Lobatto rules start at tau = 0, so their first spacing is zero
-    for family in NodeFamily:
-        for M in range(2, 10):
-            pre = build_preconditioner(build_rule(family, M))
-            assert np.all(pre.dtau >= 0)
-            assert np.all(pre.dtau[1:] > 0)
-            assert pre.dtau.sum() <= 1.0 + 1e-12
+            assert np.allclose(pre.QT, np.tril(pre.QT))
 
 
 def test_norm_bounds():
@@ -57,7 +40,8 @@ def test_verlet_solve_zero_force():
     problem = make_oscillator(0.0, 0.0)
     rhs_x = np.arange(4.0).reshape(4, 1)
     rhs_v = np.ones((4, 1))
-    X, V, F = verlet_solve(problem, rhs_x, rhs_v, 0.7, pre)
+    X, V, F = verlet_solve(problem, rhs_x, rhs_v, 0.7, pre,
+                           problem.f_nodes(rhs_x, rhs_v))
     assert X == pytest.approx(rhs_x)
     assert V == pytest.approx(rhs_v)
     assert F == pytest.approx(np.zeros((4, 1)))
@@ -71,7 +55,9 @@ def test_verlet_solve_hand_example():
     rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 1)
     pre = build_preconditioner(rule)
     problem = make_oscillator(0.0, 1.0)
-    X, V, _ = verlet_solve(problem, np.zeros((2, 1)), np.ones((2, 1)), 1.0, pre)
+    rhs_x, rhs_v = np.zeros((2, 1)), np.ones((2, 1))
+    X, V, _ = verlet_solve(problem, rhs_x, rhs_v, 1.0, pre,
+                           problem.f_nodes(rhs_x, rhs_v))
     assert V[1, 0] == pytest.approx(0.6)
     assert X[1, 0] == pytest.approx(-0.125)
 
@@ -105,7 +91,8 @@ def test_verlet_solve_matches_dense_solve():
         dt = float(rng.uniform(0.05, 0.5))
         rhs_x = rng.normal(size=(M + 1, d))
         rhs_v = rng.normal(size=(M + 1, d))
-        X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre)
+        X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre,
+                               problem.f_nodes(rhs_x, rhs_v))
         Xd, Vd = _dense_solve(problem, rhs_x, rhs_v, dt, pre)
         assert X == pytest.approx(Xd, abs=1e-10)
         assert V == pytest.approx(Vd, abs=1e-10)
@@ -127,7 +114,8 @@ def test_nonlinear_velocity_solve_and_failure():
     pre = build_preconditioner(rule)
     rhs_x = np.full((3, 1), 0.2)
     rhs_v = np.full((3, 1), 0.5)
-    X, V, F = verlet_solve(problem, rhs_x, rhs_v, 0.3, pre)
+    X, V, F = verlet_solve(problem, rhs_x, rhs_v, 0.3, pre,
+                           problem.f_nodes(rhs_x, rhs_v))
     dt = 0.3
     res_v = V - dt * (pre.QT @ F) - rhs_v
     assert np.max(np.abs(res_v)) < 1e-11
@@ -138,7 +126,7 @@ def test_nonlinear_velocity_solve_and_failure():
         force=lambda x, v: np.array([50.0 * v[0]]),
         velocity_dependent=np.array([True]))
     with pytest.raises(SolverError) as info:
-        verlet_solve(stiff, rhs_x, rhs_v, 0.3, pre)
+        verlet_solve(stiff, rhs_x, rhs_v, 0.3, pre, stiff.f_nodes(rhs_x, rhs_v))
     assert info.value.residual > 0
 
 
@@ -153,8 +141,7 @@ def _magnetic():
                           velocity_dependent=np.ones(3, dtype=bool))
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_magnetic_node_solves_match_direct_solve(warm):
+def test_magnetic_node_solves_match_direct_solve():
     # at fixed x the node equation v = b + c (v x B) is the linear system
     # (I - c L) v = b with L v = v x B, solved here by np.linalg.solve
     rng = np.random.default_rng(11)
@@ -165,12 +152,9 @@ def test_magnetic_node_solves_match_direct_solve(warm):
             rhs_x = rng.uniform(-3.0, 3.0, size=(M + 1, 3))
             rhs_v = rng.uniform(-10.0, 10.0, size=(M + 1, 3))
             problem = _magnetic()
-            forces = None
-            if warm:
-                forces = problem.f_nodes(rhs_x, rhs_v) + rng.normal(size=(M + 1, 3))
+            forces = problem.f_nodes(rhs_x, rhs_v) + rng.normal(size=(M + 1, 3))
             X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces=forces)
-            assert np.array_equal(F[0], problem.f(X[0], V[0]) if forces is None
-                                  else forces[0])
+            assert np.array_equal(F[0], forces[0])
             for m in range(1, M + 1):
                 c = dt * pre.QT[m, m]
                 b = rhs_v[m] + dt * (pre.QT[m, :m] @ F[:m])
@@ -217,11 +201,11 @@ def test_direct_branches_ignore_forces(make):
     pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 4))
     rhs_x = rng.normal(size=(5, 3))
     rhs_v = rng.normal(size=(5, 3))
-    forces = rng.normal(size=(5, 3))
-    forces[0] = make().f(rhs_x[0], rhs_v[0])
-    cold = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre)
-    warm = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre, forces=forces)
-    for a, b in zip(cold, warm):
+    first, second = rng.normal(size=(2, 5, 3))
+    first[0] = second[0] = make().f(rhs_x[0], rhs_v[0])
+    one = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre, forces=first)
+    other = verlet_solve(make(), rhs_x, rhs_v, 0.05, pre, forces=second)
+    for a, b in zip(one, other):
         assert np.array_equal(a, b)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from vvsdc import (DivergenceError, GuessStrategy, NodeFamily, NodeState,
+from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy, NodeFamily, NodeState,
                    SecondOrderIVP, SweeperConfig, build_preconditioner,
                    build_rule, collocation_residual, free_flight, initial_guess,
                    integrate, make_oscillator, make_penning, picard_iterate,
@@ -16,7 +16,6 @@ from vvsdc.problems import _linear_problem
 from vvsdc.sdc import march
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
-PRE3 = build_preconditioner(RULE3)
 
 
 def _start(strategy, rule=RULE3, seed=0):
@@ -149,7 +148,7 @@ class TestStep:
         X = [x]
         V = [v]
         ref = make_penning()
-        for sub in PRE3.dtau * dt:
+        for sub in np.diff(RULE3.tau) * dt:
             x, v, f = verlet_step(ref, x, v, sub)
             X.append(x)
             V.append(v)
@@ -217,6 +216,13 @@ class TestStep:
                                  velocity_dependent=np.zeros(1, dtype=bool))
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
             run(problem, (np.array([1.0]), np.array([0.0])))
+
+    @pytest.mark.parametrize("K", [-1, 2.5, None, "3"])
+    def test_sweep_count_is_an_integer_at_least_0(self, K):
+        # K = -1 would run no sweep at all and report the start's residual
+        with pytest.raises(ConfigurationError, match="K must be an integer >= 0"):
+            SweeperConfig(rule=RULE3, K=K)
+        assert SweeperConfig(rule=RULE3, K=np.int64(0)).K == 0
 
 
 def _mirror_like():

@@ -3,9 +3,8 @@ import pytest
 
 from vvsdc import stability
 from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
-                   NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_picard,
-                   build_K_sdc, build_P_picard, build_P_sdc, build_rule,
-                   make_oscillator, picard_iterate, rkn4_amplification,
+                   NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_sdc,
+                   build_P_sdc, build_rule, make_oscillator, picard_iterate,
                    scan_domain, spectral_radius, stability_function,
                    stability_limit, update_step)
 from vvsdc.collocation import solve_collocation_linear
@@ -28,16 +27,24 @@ class TestSpectralRadius:
             pytest.approx(1.0)
 
 
+def _K_picard(dt_kappa, dt_mu, rule):
+    return stability_function(dt_kappa, dt_mu, rule, None, ScanKind.PICARD_CONVERGENCE)
+
+
 class TestIterationMatrices:
     def test_zero_at_origin(self):
         assert np.all(build_K_sdc(0.0, 0.0, RULE3) == 0)
-        assert np.all(build_K_picard(0.0, 0.0, RULE3) == 0)
+        assert np.all(_K_picard(0.0, 0.0, RULE3) == 0)
+
+    def test_build_K_sdc_is_stability_function(self):
+        K = stability_function(1.3, 0.4, RULE3, None, ScanKind.SDC_CONVERGENCE)
+        assert np.array_equal(build_K_sdc(1.3, 0.4, RULE3), K)
 
     def test_node0_rows_stay_zero(self):
         # node-0 values are fixed by the initial condition, so the
         # iteration never writes to them
         Mp1 = RULE3.M + 1
-        for builder in (build_K_sdc, build_K_picard):
+        for builder in (build_K_sdc, _K_picard):
             K = builder(1.3, 0.4, RULE3)
             assert np.max(np.abs(K[0])) < 1e-14
             assert np.max(np.abs(K[Mp1])) < 1e-14
@@ -50,7 +57,7 @@ class TestIterationMatrices:
         # mu = 0 axis the radius is kappa * rho(QQ)
         for kappa in (1.0, 5.0, 12.0):
             expected = kappa * spectral_radius(RULE3.QQ)
-            assert spectral_radius(build_K_picard(kappa, 0.0, RULE3)) == \
+            assert spectral_radius(_K_picard(kappa, 0.0, RULE3)) == \
                 pytest.approx(expected, rel=1e-10)
 
 
@@ -82,7 +89,8 @@ class TestPropagator:
 
     def test_picard_propagator_at_origin(self):
         Mp1 = RULE3.M + 1
-        P = build_P_picard(0.0, 0.0, RULE3, 5)
+        F = stability._force_operator(np.zeros(1), np.zeros(1), Mp1)
+        P = stability._propagator(ScanKind.PICARD_STABILITY, RULE3, 5, F)[0]
         u = P @ np.concatenate([np.ones(Mp1), np.zeros(Mp1)])
         assert u[:Mp1] == pytest.approx(np.ones(Mp1), abs=1e-13)
 
@@ -129,18 +137,21 @@ class TestStabilityFunction:
         for kappa, mu in ((1.7, 0.6), (0.3, 0.0), (6.0, 2.5)):
             problem = make_oscillator(kappa, mu)
             S = _step_map(problem, _rkn4_stepper(problem), 1.0)[0]
-            assert rkn4_amplification(kappa, mu) == pytest.approx(S, abs=1e-12)
+            R = stability_function(kappa, mu, RULE3, None, kind=ScanKind.RKN4)
+            assert R == pytest.approx(S, abs=1e-12)
 
-
-def _cell_matrix(kind, rule, K, dt_kappa, dt_mu):
-    """The public one-cell function behind each scan kind."""
-    if kind is ScanKind.SDC_CONVERGENCE:
-        return build_K_sdc(dt_kappa, dt_mu, rule)
-    if kind is ScanKind.PICARD_CONVERGENCE:
-        return build_K_picard(dt_kappa, dt_mu, rule)
-    if kind is ScanKind.RKN4:
-        return rkn4_amplification(dt_kappa, dt_mu)
-    return stability_function(dt_kappa, dt_mu, rule, K, kind=kind)
+    @pytest.mark.parametrize("kind", [ScanKind.SDC_STABILITY, ScanKind.PICARD_STABILITY])
+    @pytest.mark.parametrize("K", [None, -1, 2.0])
+    def test_stability_kinds_need_a_sweep_count(self, kind, K):
+        # a negative K would invert the singular iteration matrix, and None
+        # or a float has no matrix power
+        with pytest.raises(ConfigurationError, match="K must be an integer >= 0"):
+            stability_function(1.0, 0.5, RULE3, K, kind=kind)
+        with pytest.raises(ConfigurationError, match="K must be an integer >= 0"):
+            build_P_sdc(1.0, 0.5, RULE3, K)
+        grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=2, mu_cells=2)
+        with pytest.raises(ConfigurationError, match="K must be an integer >= 0"):
+            scan_domain(kind, RULE3, K, grid)
 
 
 class TestScansAndLimits:
@@ -153,7 +164,7 @@ class TestScansAndLimits:
         assert np.all(np.isfinite(res.rho)) and res.failures == []
         for i, ka in enumerate(res.kappa):
             for j, m in enumerate(res.mu):
-                cell = _cell_matrix(kind, RULE3, 3, ka, m)
+                cell = stability_function(ka, m, RULE3, 3, kind=kind)
                 assert res.rho[i, j] == spectral_radius(cell)
         if kind is ScanKind.SDC_CONVERGENCE:
             assert res.rho[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -251,7 +262,7 @@ class TestScansAndLimits:
 
         def stable(ka):
             try:
-                rho = spectral_radius(_cell_matrix(kind, rule, K, ka, 0.0))
+                rho = spectral_radius(stability_function(ka, 0.0, rule, K, kind=kind))
             except AnalysisError:
                 return False
             return rho <= 1.0 + 1.5e-11
