@@ -61,13 +61,17 @@ def _random_draws(seed: int, Mp1: int, d: int):
 
 
 def initial_guess(u0, problem: SecondOrderIVP, dt: float,
-                  config: SweeperConfig):
+                  config: SweeperConfig, ff: NodeState | None = None):
     """Starting iterate U^0 plus its node forces, by ``config.initial_guess``.
 
-    The Verlet start is the copy start followed by one :func:`sdc_sweep`.
-    The copy's force is constant, and Q_coll and Q_vv integrate a constant
-    alike, so that sweep has no correction term: it is the velocity-Verlet
-    pass through the nodes.
+    The Verlet start is the copy start followed by one :func:`sdc_sweep`,
+    which takes ``ff`` as that function does.  The copy's force f0 is
+    constant.  Q and QT integrate a constant alike, and QQ and Qx integrate
+    it twice alike wherever ``rule.QQ`` integrates a linear function
+    exactly, so that sweep has no correction term there: it is the
+    velocity-Verlet pass through the nodes.  That holds for every rule but
+    M = 1 Gauss-Legendre and M = 1 Gauss-Radau, whose one-node QQ leaves a
+    position correction dt^2 (QQ - Qx) f0.
     """
     x0, v0 = _as_u0(u0, problem.d)
     Mp1 = config.rule.M + 1
@@ -79,7 +83,7 @@ def initial_guess(u0, problem: SecondOrderIVP, dt: float,
     state = NodeState(_rows(x0, Mp1), _rows(v0, Mp1))
     F = _rows(problem.f(x0, v0), Mp1)
     if config.initial_guess is GuessStrategy.VERLET_SWEEP:
-        return sdc_sweep(problem, state, u0, dt, config, prev_forces=F)
+        return sdc_sweep(problem, state, u0, dt, config, prev_forces=F, ff=ff)
     return state, F
 
 
@@ -109,8 +113,8 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     ``final_residual`` is the collocation residual of the last iterate.
     """
     evals_before = problem.f_evals
-    state, F = initial_guess(u0, problem, dt, config)
     ff = free_flight(u0, dt, config.rule, problem.d)
+    state, F = initial_guess(u0, problem, dt, config, ff=ff)
     for _ in range(config.K):
         state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F,
                              ff=ff)

@@ -1,11 +1,16 @@
 """Linear stability analysis on the damped harmonic oscillator.
 
-All operators are assembled with dt = 1 and (kappa, mu) set to the scan
-parameters directly, so every result is a function of (dt*kappa, dt*mu)
-by construction.
+Operators are assembled with dt = 1 and (kappa, mu) set to the scan parameters,
+so every result is a function of (dt*kappa, dt*mu), and every quantity is one
+evaluation over a stack of cells (kappa[i], mu[i]).
 
-Every quantity is one evaluation over a stack of cells (kappa[i], mu[i]); SDC,
-Picard and collocation differ only in the preconditioner block Q_pre.
+The force on the node values U = (X, V) is F = E G, with E = [I; I] and
+G = [-kappa I, -mu I], so the engine runs in node-force coordinates y = G U.
+With W = Q_pre E and D = (Q_coll - Q_pre) E, where Q_pre is velocity-Verlet,
+zero or Q_coll, a sweep is y <- A y + B (x0, v0): A = (I - G W)^(-1) G D and
+B = (I - G W)^(-1) G C_coll [1, 0; 0, 1].  By the push-through identity
+G (I - W G)^(-1) = (I - G W)^(-1) G, the nonzero spectrum of the iteration
+matrix (I - Q_pre F)^(-1) (Q_coll - Q_pre) F is A's: systems are (M+1)-square.
 """
 from __future__ import annotations
 
@@ -73,56 +78,14 @@ class ScanResult:
         return self.rho <= 1.0 + _STABLE_TOL
 
 
-def _force_operator(kappa: np.ndarray, mu: np.ndarray, Mp1: int) -> np.ndarray:
-    """(N, n, n) stack of F on stacked (X, V): both block rows are -kappa X - mu V."""
-    eye = np.eye(Mp1)
-    row = np.concatenate([-kappa[:, None, None] * eye, -mu[:, None, None] * eye], axis=2)
-    return np.concatenate([row, row], axis=1)
-
-
-def _blocks(rule: QuadratureRule, kind: ScanKind):
-    """(Q_pre, Q_coll, C_coll); Q_pre is velocity-Verlet, zero or Q_coll."""
-    Mp1 = rule.M + 1
-    O = np.zeros((Mp1, Mp1))
-    Qcoll = np.block([[rule.QQ, O], [O, rule.Q]])
-    Ccoll = np.block([[np.eye(Mp1), rule.Q], [O, np.eye(Mp1)]])
+def _parts(rule: QuadratureRule, kind: ScanKind):
+    """((Wx, Wv), (Dx, Dv)): the position and velocity rows of W = Q_pre E and
+    D = (Q_coll - Q_pre) E; Q_pre is velocity-Verlet, zero or Q_coll."""
     if kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE):
         pre = build_preconditioner(rule)
-        Qpre = np.block([[pre.Qx, O], [O, pre.QT]])
-    else:
-        Qpre = Qcoll if kind is ScanKind.COLLOCATION else np.zeros_like(Qcoll)
-    return Qpre, Qcoll, Ccoll
-
-
-def _iteration(kind, rule, F):
-    """Stacks of (I - Q_pre F)^(-1) (Q_coll - Q_pre) F and, but for the convergence
-    kinds, of (I - Q_pre F)^(-1) C_coll, by one solve; Picard's I - Q_pre F is I."""
-    Qpre, Qcoll, Ccoll = _blocks(rule, kind)
-    rhs = (Qcoll - Qpre) @ F
-    if not Qpre.any():
-        return rhs, Ccoll
-    if kind not in _CONVERGENCE_KINDS:
-        rhs = np.concatenate([rhs, np.broadcast_to(Ccoll, rhs.shape)], axis=-1)
-    return np.split(np.linalg.solve(np.eye(len(Qpre)) - Qpre @ F, rhs), [len(Qpre)], axis=-1)
-
-
-def _propagator(kind, rule, K, F) -> np.ndarray:
-    """Stacked maps from replicated U_0 to U^K, or to the collocation solution."""
-    Kmat, Minv_C = _iteration(kind, rule, F)
-    if kind is ScanKind.COLLOCATION:
-        return Minv_C
-    _check_sweeps(K)
-    eye = np.eye(Kmat.shape[-1])
-    Kpow = np.linalg.matrix_power(Kmat, K)
-    return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
-
-
-def _full_step(rule: QuadratureRule, F, P: np.ndarray) -> np.ndarray:
-    """2x2 step matrices: the end-of-step update of the iterates P U_0."""
-    zero = np.zeros_like(rule.q)
-    update = np.block([[rule.qQ, zero], [zero, rule.q]])
-    ones_bar = np.kron(np.eye(2), np.ones((len(zero), 1)))   # (x0, v0) -> U_0
-    return np.array([[1.0, 1.0], [0.0, 1.0]]) + update @ F @ P @ ones_bar
+        return (pre.Qx, pre.QT), (pre.QQ_Qx, pre.Q_QT)
+    coll, zero = (rule.QQ, rule.Q), (np.zeros_like(rule.Q),) * 2
+    return (coll, zero) if kind is ScanKind.COLLOCATION else (zero, coll)
 
 
 def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -136,14 +99,35 @@ def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return R
 
 
+def _sweeps(A, y, B, K):
+    """``y <- A y + B``, K times over the stack, as sdc_step applies its sweeps."""
+    _check_sweeps(K)
+    for _ in range(K):
+        y = A @ y + B
+    return y
+
+
 def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
-    """Stack of what ``kind`` measures: iteration, 2x2 step or RK4 matrices."""
+    """Stack of what ``kind`` measures: M x M iteration, 2x2 step or RK4 matrices."""
     if kind is ScanKind.RKN4:
         return _rkn4(kappa, mu)
-    F = _force_operator(kappa, mu, rule.M + 1)
-    if kind in _CONVERGENCE_KINDS:
-        return _iteration(kind, rule, F)[0]
-    return _full_step(rule, F, _propagator(kind, rule, K, F))
+    (Wx, Wv), (Dx, Dv) = _parts(rule, kind)
+    k, m = kappa[:, None, None], mu[:, None, None]
+    # y is carried as y / s, s = 2^n <= max(1, |kappa|, |mu|): exact, finite where y overflows
+    s = np.ldexp(1.0, np.frexp(np.maximum(1.0, np.maximum(abs(kappa), abs(mu))))[1] - 1)
+    gk, gm = (-kappa / s)[:, None], (-mu / s)[:, None]
+    ones = np.ones_like(rule.tau)
+    y = np.stack([gk * ones, gm * ones], axis=-1)                  # G U_0 of the copy start
+    GC = np.stack([gk * ones, gk * rule.tau + gm * ones], axis=-1)  # G C_coll U_0: free flight
+    AB = np.concatenate([-k * Dx - m * Dv, GC], axis=-1)
+    if Wx.any() or Wv.any():   # Picard's I - G W is I
+        AB = np.linalg.solve(np.eye(len(ones)) + k * Wx + m * Wv, AB)
+    # contiguous A and B: matmul on a strided view runs about twice as slow
+    A, B = map(np.ascontiguousarray, np.split(AB, [len(ones)], axis=-1))
+    if kind in _CONVERGENCE_KINDS:   # A's node-0 row is zero
+        return A[:, 1:, 1:]
+    y = s[:, None, None] * (B if kind is ScanKind.COLLOCATION else _sweeps(A, y, B, K))
+    return np.array([[1.0, 1.0], [0.0, 1.0]]) + np.stack([rule.qQ, rule.q]) @ y
 
 
 def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
@@ -175,24 +159,40 @@ def spectral_radius(matrix: np.ndarray) -> float:
         raise AnalysisError("eigenvalue solver failed") from exc
 
 
+def _full(rule: QuadratureRule, kappa: np.ndarray, mu: np.ndarray):
+    """Stacks of SDC's full-size (D + W A) G = (I - Q_vv F)^(-1) (Q_coll - Q_vv) F
+    and M_vv^(-1) C_coll = C_coll + W (I - G W)^(-1) G C_coll."""
+    Wxv, Dxv = _parts(rule, ScanKind.SDC_STABILITY)
+    W, D, eye = np.vstack(Wxv), np.vstack(Dxv), np.eye(rule.M + 1)
+    k, m = kappa[:, None, None], mu[:, None, None]
+    G = np.concatenate([-k * eye, -m * eye], axis=-1)
+    C = np.block([[eye, rule.Q], [0 * eye, eye]])
+    A, X = np.split(np.linalg.solve(eye + k * Wxv[0] + m * Wxv[1], G @ np.hstack([D, C])),
+                    [len(eye)], axis=-1)
+    return (D + W @ A) @ G, C + W @ X
+
+
 def build_K_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule) -> np.ndarray:
     """SDC iteration matrix (I - Q_vv F)^(-1) (Q_coll - Q_vv) F at dt = 1."""
-    return _cell(partial(_matrix, ScanKind.SDC_CONVERGENCE, rule, None), dt_kappa, dt_mu)
+    return _cell(lambda kappa, mu: _full(rule, kappa, mu)[0], dt_kappa, dt_mu)
 
 
 def build_P_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                 K: int) -> np.ndarray:
-    """Propagator mapping the replicated initial value U_0 to the iterate U^K."""
-    return _cell(lambda kappa, mu: _propagator(
-        ScanKind.SDC_STABILITY, rule, K, _force_operator(kappa, mu, rule.M + 1)),
-        dt_kappa, dt_mu)
+    """Propagator mapping the replicated initial value U_0 to the iterate U^K:
+    K sweeps P <- K_sdc P + M_vv^(-1) C_coll from P = I."""
+    def propagator(kappa, mu):
+        Kmat, Minv_C = _full(rule, kappa, mu)
+        return _sweeps(Kmat, np.broadcast_to(np.eye(Kmat.shape[-1]), Kmat.shape), Minv_C, K)
+    return _cell(propagator, dt_kappa, dt_mu)
 
 
 def stability_function(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                        K: int | None, kind: ScanKind = ScanKind.SDC_STABILITY) -> np.ndarray:
     """The one-cell matrix at dt = 1 whose spectral radius :func:`scan_domain` maps:
     the 2x2 one-step matrix for the stability kinds, RKN4 and collocation, the
-    iteration matrix for the convergence kinds.  Only the stability kinds read K."""
+    M x M sweep matrix A[1:, 1:] on the interior node forces for the convergence
+    kinds.  Only the stability kinds read K."""
     return _cell(partial(_matrix, kind, rule, K), dt_kappa, dt_mu)
 
 

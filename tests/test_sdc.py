@@ -13,6 +13,7 @@ from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy, NodeFamil
 from vvsdc.baselines import integrate_rkn4, integrate_verlet, verlet_step
 from vvsdc.collocation import _as_u0
 from vvsdc.problems import _linear_problem
+from vvsdc import sdc as sdc_module
 from vvsdc.sdc import march
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
@@ -40,6 +41,17 @@ class TestInitialGuess:
         ff = free_flight(u0, 0.5, RULE3, 1)
         assert state.X == pytest.approx(ff.X, abs=1e-14)
         assert state.V == pytest.approx(ff.V, abs=1e-14)
+
+    @pytest.mark.parametrize("family", list(NodeFamily), ids=lambda f: f.value)
+    def test_verlet_start_position_correction(self, family):
+        # the Verlet start's sweep from the copy start corrects positions by
+        # dt^2 (QQ - Qx) f0, which is 0 only where QQ integrates a linear
+        # function exactly: every rule with M <= 8 but the one-node Legendre
+        # and Radau rules (0.125 and 0.5 at node 1)
+        for M in range(2 if family is NodeFamily.GAUSS_LOBATTO else 1, 9):
+            rule = build_rule(family, M)
+            gap = np.abs(build_preconditioner(rule).QQ_Qx @ np.ones(M + 1)).max()
+            assert gap > 0.1 if M == 1 else gap < 1e-12
 
     def test_random_deterministic(self):
         problem = make_oscillator(1.0, 0.0)
@@ -277,6 +289,15 @@ class TestBitIdentity:
                     assert np.max(np.abs(p - q)) <= 1e-14 * np.max(np.abs(q))
                 else:
                     assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("strategy", list(GuessStrategy), ids=lambda g: g.value)
+    def test_step_builds_free_flight_once(self, monkeypatch, strategy):
+        # the Verlet start's sweep takes the step's free-flight nodes
+        calls = []
+        monkeypatch.setattr(sdc_module, "free_flight",
+                            lambda *args: calls.append(args) or free_flight(*args))
+        sdc_step(make_penning(), (np.ones(3), np.ones(3)), 0.1, _start(strategy))
+        assert len(calls) == 1
 
     def test_sweep_from_converged_state_costs_one_eval_per_node(self):
         # every node solve of the sweep starts from the previous iterate's

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from vvsdc import stability
 from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
                    NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_sdc,
-                   build_P_sdc, build_rule, make_oscillator, picard_iterate,
-                   scan_domain, spectral_radius, stability_function,
-                   stability_limit, update_step)
+                   build_P_sdc, build_preconditioner, build_rule, make_oscillator,
+                   picard_iterate, scan_domain, spectral_radius,
+                   stability_function, stability_limit, update_step)
 from vvsdc.collocation import solve_collocation_linear
 from vvsdc.harness import (_rkn4_stepper, _sdc_stepper, _step_map, scan_rows,
                            write_csv)
@@ -31,23 +33,77 @@ def _K_picard(dt_kappa, dt_mu, rule):
     return stability_function(dt_kappa, dt_mu, rule, None, ScanKind.PICARD_CONVERGENCE)
 
 
+def _dense(kind, rule, dt_kappa, dt_mu):
+    """Dense one-cell oracle on stacked (X, V): the iteration matrix
+    (I - Q_pre F)^(-1) (Q_coll - Q_pre) F, M^(-1) C_coll with M = I - Q_pre F, and F."""
+    Mp1 = rule.M + 1
+    eye, O = np.eye(Mp1), np.zeros((Mp1, Mp1))
+    row = np.hstack([-dt_kappa * eye, -dt_mu * eye])
+    F = np.vstack([row, row])
+    Qcoll = np.block([[rule.QQ, O], [O, rule.Q]])
+    if kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE):
+        pre = build_preconditioner(rule)
+        Qpre = np.block([[pre.Qx, O], [O, pre.QT]])
+    else:
+        Qpre = Qcoll if kind is ScanKind.COLLOCATION else 0 * Qcoll
+    Minv = np.linalg.inv(np.eye(2 * Mp1) - Qpre @ F)
+    return Minv @ (Qcoll - Qpre) @ F, Minv @ np.block([[eye, rule.Q], [O, eye]]), F
+
+
+def _dense_propagator(kind, rule, K, dt_kappa, dt_mu):
+    """Dense map from U_0 to U^K (to the collocation solution for COLLOCATION),
+    in the closed form K^K + (I - K^K) (I - K)^(-1) M^(-1) C_coll."""
+    Kmat, Minv_C, _ = _dense(kind, rule, dt_kappa, dt_mu)
+    if kind is ScanKind.COLLOCATION:
+        return Minv_C
+    eye, Kpow = np.eye(len(Kmat)), np.linalg.matrix_power(Kmat, K)
+    return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
+
+
+def _dense_matrix(kind, rule, K, dt_kappa, dt_mu):
+    """Dense counterpart of what a scan of ``kind`` takes the spectral radius of."""
+    if kind is ScanKind.RKN4:
+        A = np.array([[0.0, 1.0], [-dt_kappa, -dt_mu]])
+        return sum(np.linalg.matrix_power(A, i) / math.factorial(i) for i in range(5))
+    if kind in (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE):
+        return _dense(kind, rule, dt_kappa, dt_mu)[0]
+    F, zero = _dense(kind, rule, dt_kappa, dt_mu)[2], np.zeros_like(rule.q)
+    update = np.block([[rule.qQ, zero], [zero, rule.q]])
+    ones_bar = np.kron(np.eye(2), np.ones((rule.M + 1, 1)))   # (x0, v0) -> U_0
+    P = _dense_propagator(kind, rule, K, dt_kappa, dt_mu)
+    return np.array([[1.0, 1.0], [0.0, 1.0]]) + update @ F @ P @ ones_bar
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 class TestIterationMatrices:
     def test_zero_at_origin(self):
         assert np.all(build_K_sdc(0.0, 0.0, RULE3) == 0)
         assert np.all(_K_picard(0.0, 0.0, RULE3) == 0)
 
     def test_build_K_sdc_is_stability_function(self):
-        K = stability_function(1.3, 0.4, RULE3, None, ScanKind.SDC_CONVERGENCE)
-        assert np.array_equal(build_K_sdc(1.3, 0.4, RULE3), K)
+        # the convergence kind's M x M matrix is A[1:, 1:]; by the push-through
+        # identity its eigenvalues are the nonzero ones of the full-size K_sdc
+        K = build_K_sdc(1.3, 0.4, RULE3)
+        A = stability_function(1.3, 0.4, RULE3, None, ScanKind.SDC_CONVERGENCE)
+        assert A.shape == (RULE3.M, RULE3.M)
+        for lam in np.linalg.eigvals(A):
+            assert abs(lam) > 1e-3
+            assert np.linalg.svd(K - lam * np.eye(len(K)), compute_uv=False)[-1] < 1e-13
+        assert spectral_radius(A) == pytest.approx(spectral_radius(K), rel=1e-12)
 
     def test_node0_rows_stay_zero(self):
         # node-0 values are fixed by the initial condition, so the
-        # iteration never writes to them
+        # iteration never writes to them; the scan's M x M matrices leave
+        # node 0 out altogether
         Mp1 = RULE3.M + 1
-        for builder in (build_K_sdc, _K_picard):
-            K = builder(1.3, 0.4, RULE3)
+        picard = _dense(ScanKind.PICARD_CONVERGENCE, RULE3, 1.3, 0.4)[0]
+        for K in (build_K_sdc(1.3, 0.4, RULE3), picard):
             assert np.max(np.abs(K[0])) < 1e-14
             assert np.max(np.abs(K[Mp1])) < 1e-14
+        assert _K_picard(1.3, 0.4, RULE3).shape == (RULE3.M, RULE3.M)
 
     def test_contraction_inside_domain(self):
         assert spectral_radius(build_K_sdc(1.0, 0.0, RULE3)) < 1.0
@@ -59,6 +115,28 @@ class TestIterationMatrices:
             expected = kappa * spectral_radius(RULE3.QQ)
             assert spectral_radius(_K_picard(kappa, 0.0, RULE3)) == \
                 pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 6])
+    def test_builders_match_dense_oracle(self, M):
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        rng = np.random.default_rng(M)
+        for dt_kappa, dt_mu in rng.uniform(0.0, [20.0, 10.0], size=(20, 2)):
+            K = _dense(ScanKind.SDC_STABILITY, rule, dt_kappa, dt_mu)[0]
+            assert _rel(build_K_sdc(dt_kappa, dt_mu, rule), K) < 1e-13
+            for sweeps in range(4):
+                P = _dense_propagator(ScanKind.SDC_STABILITY, rule, sweeps, dt_kappa, dt_mu)
+                assert _rel(build_P_sdc(dt_kappa, dt_mu, rule, sweeps), P) < 1e-13
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    def test_scan_matches_dense_spectra(self, kind, M):
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        grid = GridSpec(kappa_min=0.3, kappa_max=4.0, mu_max=2.0, kappa_cells=4, mu_cells=3)
+        res = scan_domain(kind, rule, 3, grid)
+        for i, ka in enumerate(res.kappa):
+            for j, m in enumerate(res.mu):
+                rho = spectral_radius(_dense_matrix(kind, rule, 3, ka, m))
+                assert abs(res.rho[i, j] - rho) <= 1e-12 * max(1.0, rho)
 
 
 class TestPropagator:
@@ -88,11 +166,9 @@ class TestPropagator:
         assert u[Mp1:] == pytest.approx(ref.V[:, 0], abs=1e-8)
 
     def test_picard_propagator_at_origin(self):
-        Mp1 = RULE3.M + 1
-        F = stability._force_operator(np.zeros(1), np.zeros(1), Mp1)
-        P = stability._propagator(ScanKind.PICARD_STABILITY, RULE3, 5, F)[0]
-        u = P @ np.concatenate([np.ones(Mp1), np.zeros(Mp1)])
-        assert u[:Mp1] == pytest.approx(np.ones(Mp1), abs=1e-13)
+        # no force: Picard from (x0, v0) = (1, 0) stays at x = 1
+        R = stability_function(0.0, 0.0, RULE3, 5, ScanKind.PICARD_STABILITY)
+        assert R[:, 0] == pytest.approx([1.0, 0.0], abs=1e-13)
 
 
 class TestStabilityFunction:
@@ -118,6 +194,21 @@ class TestStabilityFunction:
             S, c, _ = _step_map(problem, _sdc_stepper(problem, cfg), 1.0)
             assert np.all(c == 0.0)
             assert stability_function(kappa, mu, RULE3, K) == pytest.approx(S, abs=1e-12)
+
+    @pytest.mark.parametrize("M, dt_kappa, dt_mu, rtol", [
+        (2, 12.0, 0.0, 1e-8),      # a near-defective step: rho is sqrt-sensitive to S
+        (3, 17.39, 9.95, 1e-10),   # three cells where the SDC iteration diverges
+        (3, 18.79, 10.15, 1e-10),
+        (3, 19.70, 10.25, 1e-10)])
+    def test_rho_matches_stepper_at_K50(self, M, dt_kappa, dt_mu, rtol):
+        # K = 50 sweeps applied as sdc_step applies them keep rho at the
+        # stepper's; a closed form through (I - K)^(-1) read 1.00256 at (12, 0)
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        cfg = SweeperConfig(rule=rule, K=50, initial_guess=GuessStrategy.COPY_INITIAL)
+        problem = make_oscillator(dt_kappa, dt_mu)
+        rho = spectral_radius(_step_map(problem, _sdc_stepper(problem, cfg), 1.0)[0])
+        scan = spectral_radius(stability_function(dt_kappa, dt_mu, rule, 50))
+        assert abs(scan - rho) <= rtol * max(1.0, rho)
 
     def test_picard_matches_empirical(self):
         # the Picard stability function starts from the replicated U_0
