@@ -52,15 +52,12 @@ def _rows(w, n):
 
 
 def _within_guard(*arrays) -> bool:
-    """Whether every value of ``arrays`` is finite and at most DIVERGENCE_GUARD
-    in size.
+    """Whether every value of ``arrays``, all of one shape, is finite and at
+    most DIVERGENCE_GUARD in size: one reduction over all of them.
 
     NaN compares false, so a NaN iterate is outside the guard too.
     """
-    for a in arrays:
-        if not np.abs(a).max() <= DIVERGENCE_GUARD:
-            return False
-    return True
+    return bool(np.abs(arrays).max() <= DIVERGENCE_GUARD)
 
 
 def free_flight(u0, dt: float, rule: QuadratureRule, d: int) -> NodeState:

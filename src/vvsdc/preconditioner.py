@@ -25,9 +25,20 @@ class PreconditionerMatrices:
 
 
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
-    """QT and Qx from QE (node spacings below the diagonal) and QI (QE one column right)."""
-    M = rule.M
-    dtau = np.diff(rule.tau)
+    """QT and Qx from QE (node spacings below the diagonal) and QI (QE one column right).
+
+    They are built once per set of rule values (tau, Q and QQ, the arrays they are
+    made of; an ``id`` would be reused after garbage collection) and shared,
+    so their arrays are read-only.
+    """
+    return _preconditioner(*(np.asarray(a, float).tobytes() for a in (rule.tau, rule.Q, rule.QQ)))
+
+
+@lru_cache(maxsize=64)
+def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
+    dtau = np.diff(np.frombuffer(tau))
+    M = len(dtau)
+    Q, QQ = (np.frombuffer(a).reshape(M + 1, M + 1) for a in (Q, QQ))
     QE = np.zeros((M + 1, M + 1))
     QI = np.zeros((M + 1, M + 1))
     for m in range(1, M + 1):
@@ -35,7 +46,10 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
         QI[m, 1:m + 1] = dtau[:m]
     QT = 0.5 * (QE + QI)
     Qx = QE @ QT + 0.5 * QE * QE
-    return PreconditionerMatrices(QT=QT, Qx=Qx, QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
+    matrices = PreconditionerMatrices(QT=QT, Qx=Qx, QQ_Qx=QQ - Qx, Q_QT=Q - QT)
+    for a in vars(matrices).values():
+        a.flags.writeable = False
+    return matrices
 
 
 @lru_cache(maxsize=256)

@@ -11,6 +11,9 @@ zero or Q_coll, a sweep is y <- A y + B (x0, v0): A = (I - G W)^(-1) G D and
 B = (I - G W)^(-1) G C_coll [1, 0; 0, 1].  By the push-through identity
 G (I - W G)^(-1) = (I - G W)^(-1) G, the nonzero spectrum of the iteration
 matrix (I - Q_pre F)^(-1) (Q_coll - Q_pre) F is A's: systems are (M+1)-square.
+Velocity-Verlet's I - G W is lower triangular and solved node by node, as a sweep
+is; 2x2 spectral radii are taken in closed form; and a cell whose matrix is not
+finite (an overflow, or a zero pivot) reads NaN, without redoing its stack.
 """
 from __future__ import annotations
 
@@ -99,6 +102,23 @@ def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return R
 
 
+def _forward(L, R):
+    """Stacked L X = R for lower-triangular L, row by row; a zero pivot gives inf or NaN."""
+    X = np.empty_like(R)
+    for j in range(L.shape[-1]):
+        X[:, j] = (R[:, j] - (L[:, j, None, :j] @ X[:, :j])[:, 0]) / L[:, j, j, None]
+    return X
+
+
+def _lu_solve(L, R):
+    """Stacked L X = R by LU; LAPACK names no singular cell, so each is then solved alone."""
+    try:
+        return np.linalg.solve(L, R)
+    except np.linalg.LinAlgError:
+        return np.full_like(R, np.nan) if len(L) == 1 else np.concatenate(
+            [_lu_solve(L[i:i + 1], R[i:i + 1]) for i in range(len(L))])
+
+
 def _sweeps(A, y, B, K):
     """``y <- A y + B``, K times over the stack, as sdc_step applies its sweeps."""
     _check_sweeps(K)
@@ -120,8 +140,9 @@ def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     y = np.stack([gk * ones, gm * ones], axis=-1)                  # G U_0 of the copy start
     GC = np.stack([gk * ones, gk * rule.tau + gm * ones], axis=-1)  # G C_coll U_0: free flight
     AB = np.concatenate([-k * Dx - m * Dv, GC], axis=-1)
-    if Wx.any() or Wv.any():   # Picard's I - G W is I
-        AB = np.linalg.solve(np.eye(len(ones)) + k * Wx + m * Wv, AB)
+    if Wx.any() or Wv.any():   # Picard's I - G W is I; only collocation's is full
+        solve = _lu_solve if kind is ScanKind.COLLOCATION else _forward
+        AB = solve(np.eye(len(ones)) + k * Wx + m * Wv, AB)
     # contiguous A and B: matmul on a strided view runs about twice as slow
     A, B = map(np.ascontiguousarray, np.split(AB, [len(ones)], axis=-1))
     if kind in _CONVERGENCE_KINDS:   # A's node-0 row is zero
@@ -130,31 +151,43 @@ def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     return np.array([[1.0, 1.0], [0.0, 1.0]]) + np.stack([rule.qQ, rule.q]) @ y
 
 
+def _radius(S) -> np.ndarray:
+    """Spectral radii of a stack of square matrices.  A 2x2 one's eigenvalues are
+    h +- sqrt(disc), h = (a + d)/2 and disc = ((a - d)/2)^2 + b c, on its entries
+    divided by a power of two near the largest, so that no square overflows."""
+    if S.shape[-1] != 2:
+        return np.abs(np.linalg.eigvals(S)).max(axis=-1)
+    scale = np.ldexp(1.0, np.frexp(np.abs(S).max(axis=(-2, -1)))[1] - 1)   # exact: 2^n
+    (a, b), (c, d) = np.moveaxis(S / scale[..., None, None], (-2, -1), (0, 1))
+    h, disc = 0.5 * (a + d), (0.5 * (a - d)) ** 2 + b * c
+    root = np.sqrt(np.abs(disc))
+    return scale * np.where(disc >= 0, np.abs(h) + root, np.hypot(h, root))
+
+
 def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
-    """Spectral radii over a stack of cells.  On ``LinAlgError`` (a singular or
-    non-finite cell) each half of the stack is redone; a failed cell reads NaN."""
-    try:
-        return np.abs(np.linalg.eigvals(_matrix(kind, rule, K, kappa, mu))).max(axis=-1)
-    except np.linalg.LinAlgError:
-        halves = zip(np.array_split(kappa, 2), np.array_split(mu, 2))
-        return (np.full(1, np.nan) if len(kappa) == 1 else
-                np.concatenate([_rho(kind, rule, K, ka, m) for ka, m in halves]))
+    """Spectral radii over a stack of cells, evaluated once; a cell whose matrix is
+    not finite (an overflow, or a singular system) reads NaN."""
+    S = _matrix(kind, rule, K, kappa, mu)
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    rho = np.full(len(S), np.nan)
+    rho[finite] = _radius(S[finite])
+    return rho
 
 
 def _cell(stacked, dt_kappa: float, dt_mu: float) -> np.ndarray:
-    """``stacked(kappa, mu)`` at one cell; a singular system is an AnalysisError."""
-    try:
-        return stacked(np.array([dt_kappa]), np.array([dt_mu]))[0]
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError(f"singular at dt*kappa={dt_kappa}, dt*mu={dt_mu}") from exc
+    """``stacked(kappa, mu)`` at one cell; a singular or overflowing one is an AnalysisError."""
+    out = stacked(np.array([dt_kappa]), np.array([dt_mu]))[0]
+    if not np.all(np.isfinite(out)):
+        raise AnalysisError(f"not finite at dt*kappa={dt_kappa}, dt*mu={dt_mu}")
+    return out
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
-    """Largest eigenvalue magnitude."""
+    """Largest eigenvalue magnitude, as a scan takes it (see ``_radius``)."""
     if not np.all(np.isfinite(matrix)):
         raise AnalysisError("matrix has non-finite entries")
     try:
-        return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+        return float(_radius(np.asarray(matrix)))
     except np.linalg.LinAlgError as exc:
         raise AnalysisError("eigenvalue solver failed") from exc
 
@@ -167,7 +200,7 @@ def _full(rule: QuadratureRule, kappa: np.ndarray, mu: np.ndarray):
     k, m = kappa[:, None, None], mu[:, None, None]
     G = np.concatenate([-k * eye, -m * eye], axis=-1)
     C = np.block([[eye, rule.Q], [0 * eye, eye]])
-    A, X = np.split(np.linalg.solve(eye + k * Wxv[0] + m * Wxv[1], G @ np.hstack([D, C])),
+    A, X = np.split(_forward(eye + k * Wxv[0] + m * Wxv[1], G @ np.hstack([D, C])),
                     [len(eye)], axis=-1)
     return (D + W @ A) @ G, C + W @ X
 

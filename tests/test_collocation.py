@@ -107,6 +107,17 @@ def test_picard_divergence_guard():
         picard_iterate(problem, u0, 1.0, RULE3, K=300)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e8, -1.0000001e8])
+def test_within_guard(bad):
+    from vvsdc.collocation import DIVERGENCE_GUARD, _within_guard
+    X, V = np.full((4, 3), -DIVERGENCE_GUARD), np.full((4, 3), DIVERGENCE_GUARD)
+    assert _within_guard(X, V) and _within_guard(X[0], V[0])
+    for a in (X, V):
+        a[2, 1], kept = bad, a[2, 1]
+        assert not _within_guard(X, V)
+        a[2, 1] = kept
+
+
 def test_update_step_free_flight():
     problem = make_oscillator(0.0, 0.0)
     u0 = (np.array([1.0]), np.array([2.0]))

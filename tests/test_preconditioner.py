@@ -18,6 +18,23 @@ def test_legendre_M1_matrices():
     assert pre.Qx == pytest.approx(np.array([[0.0, 0.0], [0.125, 0.0]]))
 
 
+def test_built_once_per_rule_values():
+    # equal rules share one set of matrices; another rule never gets them,
+    # even once the first rule is gone and its id may be reused
+    legendre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 3))
+    assert build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 3)) is legendre
+    assert SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3)).matrices is legendre
+    for family, M in [(NodeFamily.GAUSS_LOBATTO, 4), (NodeFamily.GAUSS_RADAU, 3)]:
+        rule = build_rule(family, M)
+        pre = build_preconditioner(rule)
+        assert pre.QT.shape == (M + 1, M + 1)
+        assert np.array_equal(np.diag(pre.QT)[1:], np.diff(rule.tau) / 2)
+        assert np.array_equal(pre.QQ_Qx, rule.QQ - pre.Qx)
+        assert np.array_equal(pre.Q_QT, rule.Q - pre.QT)
+    with pytest.raises(ValueError, match="read-only"):
+        legendre.Qx[1, 0] = 1.0
+
+
 def test_triangular_structure():
     for family in NodeFamily:
         for M in range(2, 8):

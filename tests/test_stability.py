@@ -270,8 +270,8 @@ class TestScansAndLimits:
             GridSpec(mu_cells=9, kappa_cells=9, **bounds)
 
     def test_scan_fallback_on_failed_cells(self):
-        # the 1e300 row overflows; the stack is redone in halves down to single
-        # cells, so only that row is NaN and listed as failed
+        # the 1e300 row overflows; its cells' matrices are not finite and are
+        # masked in the one pass over the stack, so only that row is NaN and failed
         grid = GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3)
         res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 50, grid)
         assert np.all(np.isfinite(res.rho[0]))
@@ -304,10 +304,13 @@ class TestScansAndLimits:
         assert res.failures == [(res.kappa[i], res.mu[j]) for i, j in nan_cells]
         first = np.isnan(ref.ravel()[:stability._STACK])
         assert (first.any() and not first.all()) == (kind.value in overflowing)
+        if grid.mu_max == 1e300 and kind.value.startswith("sdc"):
+            # a closed-form 2x2 radius on unscaled entries reads inf here
+            assert np.all(np.isfinite(res.rho))
 
-    def test_one_failed_cell_halves_its_stack(self, monkeypatch):
-        # one non-finite cell in the middle of a full stack: the stack and then
-        # the failing half at each level are redone, not every cell alone
+    def test_one_failed_cell_is_masked_in_one_pass(self, monkeypatch):
+        # one non-finite cell in the middle of a full stack: the stack is
+        # evaluated once, with no redo, and only that cell reads NaN
         grid = GridSpec(kappa_max=2.0, mu_max=2.0, kappa_cells=stability._STACK // 16,
                         mu_cells=16)
         clean = scan_domain(ScanKind.SDC_STABILITY, RULE3, 3, grid)
@@ -323,8 +326,36 @@ class TestScansAndLimits:
         res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 3, grid)
         assert res.failures == [bad]
         assert np.array_equal(np.isnan(res.rho), clean.rho != res.rho)
-        levels = int(np.ceil(np.log2(stability._STACK)))
-        assert sizes[0] == stability._STACK and len(sizes) == 1 + 2 * levels
+        assert sizes == [stability._STACK]
+
+    @pytest.mark.parametrize("kind", [ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE])
+    @pytest.mark.parametrize("family, M", [(NodeFamily.GAUSS_LEGENDRE, 1),
+                                           (NodeFamily.GAUSS_RADAU, 1),
+                                           (NodeFamily.GAUSS_LOBATTO, 3)])
+    def test_zero_pivot_cell_is_a_failure(self, family, M, kind):
+        # at dt*mu = -1/QT[j, j] node j's pivot 1 + dt*mu*QT[j, j] of the
+        # Verlet system is exactly zero: that cell reads NaN, its neighbours not
+        rule = build_rule(family, M)
+        q = build_preconditioner(rule).QT[M, M]
+        assert 1.0 + (-1.0 / q) * q == 0.0
+        grid = GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-1.0 / q, mu_max=0.0, mu_cells=2)
+        with np.errstate(all="ignore"):
+            res = scan_domain(kind, rule, 3, grid)
+        assert res.failures == [(0.0, -1.0 / q), (1.0, -1.0 / q)]
+        assert np.all(np.isfinite(res.rho[:, 1]))
+        with np.errstate(all="ignore"), pytest.raises(AnalysisError, match="not finite"):
+            stability_function(0.0, -1.0 / q, rule, 3, kind)
+
+    def test_singular_collocation_cell_is_a_failure(self):
+        # I + dt*kappa QQ + dt*mu Q is exactly singular at (0, -2) for one
+        # Legendre node (Q[1, 1] = 1/2); LU names no cell, yet only that one fails
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 1)
+        grid = GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-2.0, mu_max=0.0, mu_cells=3)
+        res = scan_domain(ScanKind.COLLOCATION, rule, None, grid)
+        assert res.failures == [(0.0, -2.0)]
+        assert np.isfinite(res.rho).sum() == 5
+        with pytest.raises(AnalysisError, match="not finite"):
+            stability_function(0.0, -2.0, rule, None, ScanKind.COLLOCATION)
 
     def test_scan_csv_roundtrip(self, tmp_path):
         grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=3, mu_cells=3)
@@ -370,3 +401,72 @@ class TestScansAndLimits:
     def test_limit_zero_when_immediately_unstable(self):
         rule2 = build_rule(NodeFamily.GAUSS_LEGENDRE, 2)
         assert stability_limit(ScanKind.SDC_STABILITY, rule2, 2) == 0.0
+
+
+class TestKernels:
+    @pytest.mark.parametrize("family, M", [(f, M) for f in NodeFamily for M in range(1, 7)
+                                           if (f, M) != (NodeFamily.GAUSS_LOBATTO, 1)])
+    def test_forward_matches_lu_solve(self, family, M):
+        # the Verlet system I + kappa Qx + mu QT, solved row by row
+        pre = build_preconditioner(build_rule(family, M))
+        rng = np.random.default_rng(M)
+        kappa, mu = rng.uniform(0.0, 100.0, size=(2, 50))
+        L = np.eye(M + 1) + kappa[:, None, None] * pre.Qx + mu[:, None, None] * pre.QT
+        R = rng.standard_normal((50, M + 1, M + 3))
+        X, ref = stability._forward(L, R), np.linalg.solve(L, R)
+        for x, r in zip(X, ref):
+            assert _rel(x, r) < 1e-13
+
+    def _check_against_eigvals(self, S, rtol):
+        ref = np.abs(np.linalg.eigvals(S)).max(axis=-1)
+        rho = stability._radius(S)
+        assert np.all(np.abs(rho - ref) <= rtol * ref)
+        return rho
+
+    def test_radius_random(self):
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((1000, 2, 2)) * 10.0 ** rng.uniform(-5, 5, size=(1000, 1, 1))
+        self._check_against_eigvals(S, 1e-14)
+
+    def test_radius_complex_pairs(self):
+        # r times a rotation by t, under a basis change of condition number at most 4
+        rng = np.random.default_rng(1)
+        r, t, u = rng.uniform(0.1, 10.0, 500), rng.uniform(0.1, 3.0, 500), rng.uniform(0, 7, 500)
+
+        def rotation(angle):
+            return np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)],
+                            axis=-1).reshape(-1, 2, 2)
+        P = rotation(u) * np.stack([np.ones(500), rng.uniform(0.25, 1.0, 500)], axis=-1)[:, None]
+        S = P @ (r[:, None, None] * rotation(t)) @ np.linalg.inv(P)
+        rho = self._check_against_eigvals(S, 1e-13)
+        assert np.all(np.abs(rho - r) <= 1e-12 * r)
+
+    def test_radius_triangular(self):
+        # upper-triangular: the larger diagonal entry, and exactly 1 on the
+        # kappa = 0 axis, where the step matrix is [[1, b], [0, d]] with |d| <= 1
+        rng = np.random.default_rng(2)
+        a, b, d = rng.uniform(-3, 3, (3, 500))
+        S = np.stack([a, b, 0 * a, d], axis=-1).reshape(-1, 2, 2)
+        rho = self._check_against_eigvals(S, 1e-15)
+        assert rho == pytest.approx(np.maximum(abs(a), abs(d)), rel=1e-15, abs=0)
+        for dt_mu in np.linspace(0.0, 20.0, 41):
+            R = stability_function(0.0, dt_mu, RULE3, 3)
+            assert R[1, 0] == 0.0 and abs(R[1, 1]) <= 1.0
+            assert spectral_radius(R) == 1.0
+
+    def test_radius_near_defective(self):
+        # [[1, 1], [delta, 1]] has eigenvalues 1 +- sqrt(delta)
+        for delta in (1e-10, 1e-20, 1e-30, 0.0):
+            S = np.array([[1.0, 1.0], [delta, 1.0]])
+            assert stability._radius(S) == pytest.approx(1.0 + np.sqrt(delta), rel=1e-15)
+            assert spectral_radius(S) == stability._radius(S)
+
+    def test_radius_zero_and_huge(self):
+        assert stability._radius(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+        rng = np.random.default_rng(3)
+        S = rng.standard_normal((100, 2, 2))
+        for scale in (1e300, 1e-300):
+            # h^2 and b c overflow or underflow unscaled: the result scales exactly
+            rho = stability._radius(scale * S)
+            assert np.all(np.isfinite(rho)) and np.all(rho > 0)
+            assert np.allclose(rho / scale, stability._radius(S), rtol=1e-14, atol=0)
