@@ -88,8 +88,7 @@ def _values(kind):
 
 
 # The config schema: [section] key -> (ExperimentConfig field, or a field of
-# its ``penning``/``grid`` member, and the parser of the value).  Keys are
-# applied in this order, so ``k_list`` wins over ``k``.
+# its ``penning``/``grid`` member, and the parser of the value).
 CONFIG_KEYS = {
     ("problem", "kind"): ("problem", str),
     ("problem", "kappa"): ("kappa", float),
@@ -97,12 +96,10 @@ CONFIG_KEYS = {
     ("problem", "omega_b"): ("penning.omega_b", float),
     ("problem", "omega_e"): ("penning.omega_e", float),
     ("problem", "epsilon"): ("penning.epsilon", float),
-    ("problem", "alpha"): ("penning.alpha", float),
     ("problem", "x0"): ("penning.x0", _values(float)),
     ("problem", "v0"): ("penning.v0", _values(float)),
     ("rule", "family"): ("family", NodeFamily.from_name),
     ("rule", "m"): ("M", int),
-    ("sweeper", "k"): ("K_list", lambda text: (_at_least(0, text),)),
     ("sweeper", "k_list"): ("K_list", _values(partial(_at_least, 0))),
     ("sweeper", "initial_guess"): ("initial_guess", lambda text: GuessStrategy(text.lower())),
     ("sweeper", "seed"): ("seed", partial(_at_least, 0)),
@@ -299,47 +296,42 @@ def _step_map(problem: SecondOrderIVP, step, h: float):
     return np.array(images[1:]).T - c[:, None], c, spent.pop()
 
 
-def _march_map(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
-    """(x_end, f_evals) of ``step`` from 0 to t_end, marched as its probed map.
+def _march_linear(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
+    """(x_end, f_evals) of ``step`` from 0 to t_end on a linear problem.
 
-    One map per distinct step size, as the last step may be shorter.
-    ``f_evals`` is what ``step`` would spend (steps times its per-step
-    count), not what probing cost.  A state past DIVERGENCE_GUARD, or not
-    finite, is a DivergenceError.
+    The probed map of ``step`` is marched, one map per distinct step size,
+    as the last step may be shorter; ``f_evals`` is what ``step`` would
+    spend (steps times its per-step count), not what probing cost.  If the
+    marched state passes DIVERGENCE_GUARD or is not finite, ``step`` is
+    stepped directly instead, so the result is the stepper's own: x_end is
+    inf if it diverges, and f_evals counts what it spent up to there.
     """
     maps = {}
 
-    def advance(u, h):
+    def mapped(u, h):
         if h not in maps:
             maps[h] = _step_map(problem, step, h)
         S, c, evals = maps[h]
         u = S @ u + c
         # the test of collocation._within_guard, inlined: it runs every step
         if not np.abs(u).max() <= DIVERGENCE_GUARD:
-            raise DivergenceError(
-                f"marched state exceeded {DIVERGENCE_GUARD:g} or is not finite")
+            raise DivergenceError
         return u, (u, evals)
 
-    _, outs = march(advance, np.concatenate(u0), 0.0, t_end, dt)
-    return outs[-1][0][:problem.d], sum(evals for _, evals in outs)
-
-
-def _march_direct(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
-    """(x_end, f_evals) of ``step`` stepped directly from 0 to t_end.
-
-    x_end is inf if the stepper diverges; f_evals counts what it spent up to
-    there.
-    """
-    def advance(u, h):
+    def direct(u, h):
         u = step(u, h)
         return u, u[0]
 
-    before = problem.f_evals
     try:
-        x_end = march(advance, u0, 0.0, t_end, dt)[1][-1]
+        _, outs = march(mapped, np.concatenate(u0), 0.0, t_end, dt)
     except DivergenceError:
-        x_end = np.full(problem.d, math.inf)
-    return x_end, problem.f_evals - before
+        before = problem.f_evals
+        try:
+            x_end = march(direct, u0, 0.0, t_end, dt)[1][-1]
+        except DivergenceError:
+            x_end = np.full(problem.d, math.inf)
+        return x_end, problem.f_evals - before
+    return outs[-1][0][:problem.d], sum(evals for _, evals in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +340,10 @@ def _march_direct(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
 def run_work_precision(config: ExperimentConfig):
     """Rows of (method, K, dt, f_evals, rel. position errors) for each run.
 
-    sdc, picard and rkn4 march the probed one-step map of their stepper
-    (:func:`_march_map`); ``f_evals`` is the stepper's own count.  A run
-    that diverges there is repeated by direct stepping, so its row is the
-    stepper's: infinite error and the f-evals spent up to the divergence.
-    verlet reuses its trailing force (one evaluation per step plus the
-    first) and is always stepped directly.
+    sdc, picard and rkn4 run their stepper through :func:`_march_linear`,
+    so ``f_evals`` is the stepper's own count and a diverging run has an
+    infinite error.  verlet reuses its trailing force (one evaluation per
+    step plus the first) and is always stepped directly.
     """
     rule = build_rule(config.family, config.M)
     u0 = config.initial_value()
@@ -368,35 +358,27 @@ def run_work_precision(config: ExperimentConfig):
             return update_step(state, u, h, rule, forces=F)
         return step
 
-    def mapped(stepper):
-        def run(problem, K, dt):
-            step = stepper(problem, K)
-            try:
-                return _march_map(problem, step, u0, config.t_end, dt)
-            except DivergenceError:
-                return _march_direct(problem, step, u0, config.t_end, dt)
-        return run
-
-    def verlet(problem, K, dt):
-        x_end = integrate_verlet(problem, u0, 0.0, config.t_end, dt)[1][-1]
-        return x_end, problem.f_evals
-
-    # method -> (K values, run(problem, K, dt) -> (x_end, f_evals))
+    # method -> (K values, stepper(problem, K)); verlet has no fixed-cost step
     methods = {
-        "sdc": (config.K_list,
-                mapped(lambda problem, K: _sdc_stepper(problem, sweepers[K]))),
-        "picard": (config.K_list, mapped(picard_stepper)),
-        "rkn4": ((0,), mapped(lambda problem, K: _rkn4_stepper(problem))),
-        "verlet": ((0,), verlet),
+        "sdc": (config.K_list, lambda problem, K: _sdc_stepper(problem, sweepers[K])),
+        "picard": (config.K_list, picard_stepper),
+        "rkn4": ((0,), lambda problem, K: _rkn4_stepper(problem)),
+        "verlet": ((0,), None),
     }
     rows = []
     for method in config.methods:
         if method not in methods:
             raise ConfigurationError(f"unknown work-precision method {method!r}")
-        K_values, run = methods[method]
+        K_values, stepper = methods[method]
         for K in K_values:
             for dt in config.dt_list:
-                x_end, f_evals = run(config.make_problem(), K, dt)
+                problem = config.make_problem()
+                if stepper is None:
+                    x_end = integrate_verlet(problem, u0, 0.0, config.t_end, dt)[1][-1]
+                    f_evals = problem.f_evals
+                else:
+                    x_end, f_evals = _march_linear(problem, stepper(problem, K), u0,
+                                                   config.t_end, dt)
                 err = np.abs(x_end - xe) / np.maximum(np.abs(xe), 1e-300)
                 rows.append({"method": method, "K": K, "dt": dt, "f_evals": f_evals,
                              "err1": float(err[0]), "err3": float(err[-1])})

@@ -73,27 +73,28 @@ def _linear_problem(A_x: np.ndarray, A_v: np.ndarray) -> SecondOrderIVP:
 
 def make_oscillator(kappa: float, mu: float) -> SecondOrderIVP:
     """Damped harmonic oscillator x'' = -kappa x - mu x'."""
-    if kappa < 0 or mu < 0:
-        raise ConfigurationError("oscillator needs kappa >= 0 and mu >= 0")
+    if not (0 <= kappa < np.inf and 0 <= mu < np.inf):
+        raise ConfigurationError(
+            f"oscillator needs finite kappa >= 0 and mu >= 0, got {kappa!r} and {mu!r}")
     return _linear_problem([[-kappa]], [[-mu]])
 
 
 @dataclass(frozen=True)
 class PenningParams:
-    """Trap parameters; defaults follow the classic single-particle benchmark."""
+    """Trap parameters; defaults follow the classic single-particle benchmark,
+    whose two frequencies absorb the charge-to-mass ratio."""
 
     omega_b: float = 25.0
     omega_e: float = 4.9
     epsilon: float = -1.0
-    alpha: float = 1.0
     x0: tuple = (10.0, 0.0, 0.0)
     v0: tuple = (100.0, 0.0, 100.0)
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise ConfigurationError("charge-to-mass ratio alpha must be nonzero")
         if len(self.x0) != 3 or len(self.v0) != 3:
             raise ConfigurationError("Penning x0 and v0 need 3 components each")
+        if not np.isfinite([self.omega_b, self.omega_e, self.epsilon, *self.x0, *self.v0]).all():
+            raise ConfigurationError("Penning omega_b, omega_e, epsilon, x0 and v0 must be finite")
 
 
 def make_penning(params: PenningParams = PenningParams()) -> SecondOrderIVP:

@@ -112,6 +112,24 @@ def test_malformed_config_exits_2(tmp_path, ini):
     assert _run(tmp_path, "nodes", ini)[0] == 2
 
 
+@pytest.mark.parametrize("section, key", [("problem", "alpha"), ("sweeper", "k")])
+def test_removed_keys_exit_2(tmp_path, capsys, section, key):
+    assert _run(tmp_path, "global-order", f"[{section}]\n{key} = 3\n")[0] == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini", [
+    TINY.replace("kind = oscillator", "kind = oscillator\nkappa = nan"),
+    TINY.replace("kind = oscillator", "kind = oscillator\nmu = inf"),
+    "[problem]\nomega_b = inf\n",
+    "[problem]\nv0 = 100 nan 100\n",
+], ids=["oscillator-kappa-nan", "oscillator-mu-inf", "penning-omega_b-inf", "penning-v0-nan"])
+def test_non_finite_physics_exits_2(tmp_path, capsys, ini):
+    code, out = _run(tmp_path, "global-order", ini)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_hamiltonian_takes_k_list_from_file(tmp_path):
     code, out = _run(tmp_path, "hamiltonian", TINY + "[sweeper]\nk_list = 2\n")
     assert code == 0
@@ -134,13 +152,13 @@ def test_hamiltonian_too_few_steps_exits_2(tmp_path, capsys, n_steps):
 
 
 def test_stability_map_takes_k_from_file(tmp_path):
-    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk = 3\n")
+    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk_list = 3\n")
     assert code == 0
     assert _listed(out) == {"sdc-stability_K3": "sdc-stability_K3.csv"}
 
 
 def test_flags_outrank_file(tmp_path):
-    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk = 3\n",
+    code, out = _run(tmp_path, "stability-map", TINY + "[sweeper]\nk_list = 3\n",
                      "--K", "2", "--M", "2")
     assert code == 0
     assert _listed(out) == {"sdc-stability_K2": "sdc-stability_K2.csv"}

@@ -11,7 +11,7 @@ from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
                    exact_solution, integrate, make_oscillator, picard_iterate,
                    update_step)
 from vvsdc.baselines import integrate_rkn4
-from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_map,
+from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear,
                            _rkn4_stepper, _step_map, fit_slope, load_config,
                            order_report_rows, read_csv, run_global_order,
                            run_hamiltonian_drift, run_local_order,
@@ -74,10 +74,9 @@ class TestConfig:
         "[rule]\nm = abc\n", "[run]\ndt_list = 0.1 x\n",
         "[sweeper]\ninitial_guess = bogus\n", "[problem]\nx0 = 1 2\n",
         "[problem]\nv0 = 1 2 3 4\n", "[sweeper]\nk_list =\n", "[run]\nmethods =\n",
-        "m = 3\n", "[sweeper]\nk = -1\n", "[sweeper]\nk_list = 2 -1\n",
-        "[sweeper]\nseed = -1\n"],
+        "m = 3\n", "[sweeper]\nk_list = 2 -1\n", "[sweeper]\nseed = -1\n"],
         ids=["m", "dt_list", "initial_guess", "x0", "v0", "empty_k_list", "empty_methods",
-             "no_section", "negative_k", "negative_k_list", "negative_seed"])
+             "no_section", "negative_k_list", "negative_seed"])
     def test_malformed_value_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -90,11 +89,6 @@ class TestConfig:
         path.write_text(f"[run]\n{line}\n")
         with pytest.raises(ConfigurationError, match="unknown key"):
             load_config(str(path))
-
-    def test_k_list_wins_over_k(self, tmp_path):
-        path = tmp_path / "exp.ini"
-        path.write_text("[sweeper]\nk_list = 2 4\nk = 3\n")
-        assert load_config(str(path)).K_list == (2, 4)
 
     def test_nested_fields_keep_their_defaults(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -299,10 +293,21 @@ class TestStepMap:
 
     @pytest.mark.parametrize("growth", [2e8, math.inf, math.nan])
     def test_march_guard(self, growth):
+        # the first marched state is past the guard or not finite, so the
+        # run is stepped directly; this stepper never raises, so its own
+        # two steps are what comes back
         problem = make_oscillator(1.0, 0.0)
-        with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
-            _march_map(problem, lambda u, h: (growth * u[0], u[1]),
-                       (np.array([1.0]), np.array([0.0])), 1.0, 0.5)
+        calls = []
+
+        def step(u, h):
+            calls.append(h)
+            return growth * u[0], u[1]
+        with np.errstate(invalid="ignore"):
+            x_end, f_evals = _march_linear(problem, step, (np.array([1.0]), np.array([0.0])),
+                                           1.0, 0.5)
+        np.testing.assert_array_equal(x_end, [growth * growth])
+        assert f_evals == 0
+        assert calls == [0.5] * (3 + 2)   # three probes of the map, two direct steps
 
 
 class TestHamiltonianDrift:

@@ -1,9 +1,13 @@
+import inspect
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from vvsdc import (ConfigurationError, PenningParams, exact_solution,
                    make_oscillator, make_penning)
 from vvsdc.baselines import integrate_rkn4
+from vvsdc.harness import ExperimentConfig
 from vvsdc.problems import SecondOrderIVP
 
 
@@ -32,6 +36,12 @@ class TestOscillator:
     def test_negative_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             make_oscillator(-1.0, 0.0)
+
+    @pytest.mark.parametrize("kappa, mu", [(np.nan, 0.0), (np.inf, 0.0),
+                                           (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, kappa, mu):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_oscillator(kappa, mu)
 
 
 class TestPenning:
@@ -65,9 +75,38 @@ class TestPenning:
             assert problem.f(x, v) == pytest.approx(A_x @ x + A_v @ v,
                                                     abs=1e-14)
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PenningParams(alpha=0.0)
+    @pytest.mark.parametrize("field, value", [
+        ("omega_b", np.inf), ("omega_e", np.nan), ("epsilon", -np.inf),
+        ("x0", (0.0, np.nan, 0.0)), ("v0", (0.0, 0.0, np.inf))])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PenningParams(**{field: value})
+
+
+def _built(config: ExperimentConfig):
+    """What a run starts from: the problem's linear parts and the initial value."""
+    return (*config.make_problem().linear_parts, *config.initial_value())
+
+
+def _assert_changes(base: ExperimentConfig, changed: ExperimentConfig):
+    assert any(not np.array_equal(a, b) for a, b in zip(_built(base), _built(changed)))
+
+
+# A parameter that changes neither the problem nor where it starts is a knob
+# with no effect of its own; every parameter moved in turn must show.
+@pytest.mark.parametrize("name", [f.name for f in fields(PenningParams)])
+def test_every_penning_field_has_an_effect(name):
+    base = ExperimentConfig(problem="penning")
+    value = getattr(base.penning, name)
+    value = tuple(c + 1.0 for c in value) if isinstance(value, tuple) else value + 1.0
+    _assert_changes(base, replace(base, penning=replace(base.penning, **{name: value})))
+
+
+@pytest.mark.parametrize("name", list(inspect.signature(make_oscillator).parameters))
+def test_every_oscillator_argument_has_an_effect(name):
+    # each argument is the ExperimentConfig field of the same name
+    base = ExperimentConfig(problem="oscillator")
+    _assert_changes(base, replace(base, **{name: getattr(base, name) + 1.0}))
 
 
 class TestExactSolution:
