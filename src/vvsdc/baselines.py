@@ -5,7 +5,7 @@ import numpy as np
 
 from .collocation import DIVERGENCE_GUARD, _within_guard
 from .errors import DivergenceError
-from .preconditioner import _solve_node_velocity
+from .preconditioner import _node_solver
 from .problems import SecondOrderIVP
 from .sdc import march
 
@@ -22,9 +22,10 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
     f0 = problem.f(x, v) if f_prev is None else np.asarray(f_prev, float)
     x_new = x + dt * (v + 0.5 * dt * f0)
     # v' = v + dt/2 (f0 + f(x', v')); implicit only if f depends on v, and
-    # then solved starting from the force f0 already known
+    # then solved starting from the force f0 already known, as node 1 of the
+    # trapezoidal rule on the nodes (0, 1)
     b = v + 0.5 * dt * f0
-    v_new, f_new = _solve_node_velocity(problem, x_new, b, dt, 0.5, f0, node=None)
+    v_new, f_new = _node_solver(problem, dt, (0.5,))(1, x_new, b, f0)
     return x_new, v_new, f_new
 
 

@@ -28,23 +28,36 @@ _FLAGS = {"seed": ("sweeper", "seed"), "M": ("rule", "m"),
           "dt": ("run", "dt_list")}
 
 
-def _add_common(sub):
+def _add_common(sub, reads):
+    """The shared arguments.  A flag the command does not read is parsed, so
+    that it can be refused, but left out of the command's help."""
+    def shown(flag, text):
+        return text if flag in reads else argparse.SUPPRESS
     sub.add_argument("--config", help="experiment config file")
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", help="override random seed")
-    sub.add_argument("--M", help="override node count")
-    sub.add_argument("--K", nargs="+", help="override iteration counts")
-    sub.add_argument("--nodes", help="override node family (legendre/lobatto/radau)")
-    sub.add_argument("--dt", nargs="+", help="override dt ladder")
+    sub.add_argument("--seed", help=shown("seed", "override random seed"))
+    sub.add_argument("--M", help=shown("M", "override node count"))
+    sub.add_argument("--K", nargs="+", help=shown("K", "override iteration counts"))
+    sub.add_argument("--nodes", help=shown(
+        "nodes", "override node family (legendre/lobatto/radau)"))
+    sub.add_argument("--dt", nargs="+", help=shown("dt", "override dt ladder"))
 
 
-def _build_config(defaults: dict, args) -> ExperimentConfig:
-    """ExperimentConfig defaults, then the command's, then the file, then the flags."""
+def _build_config(args) -> ExperimentConfig:
+    """ExperimentConfig defaults, then the command's, then the file, then the flags.
+
+    A flag the command does not read is an error; a config-file key is not,
+    as one file serves every command.
+    """
+    defaults, reads, _ = COMMANDS[args.command]
     settings = read_settings(args.config) if args.config else {}
     for flag, key in _FLAGS.items():
         value = getattr(args, flag)
-        if value is not None:
-            settings[key] = value if isinstance(value, str) else " ".join(value)
+        if value is None:
+            continue
+        if flag not in reads:
+            raise ConfigurationError(f"{args.command} does not read --{flag}")
+        settings[key] = value if isinstance(value, str) else " ".join(value)
     return apply_settings(replace(ExperimentConfig(), **defaults), settings)
 
 
@@ -111,19 +124,24 @@ def _ladder(dt0):
     return tuple(dt0 * 2.0 ** -i for i in range(6))
 
 
-# command -> (its ExperimentConfig defaults, tables)
+# command -> (its ExperimentConfig defaults, the flags it reads, tables).
+# convergence-map has no K; stability-limits fixes its K and M; hamiltonian
+# fixes its M, start and step size; work-precision fixes the copy start.
 COMMANDS = {
-    "nodes": ({}, _nodes),
-    "stability-map": ({"K_list": (50,)}, partial(_scan, ScanKind.SDC_STABILITY)),
-    "convergence-map": ({}, partial(_scan, ScanKind.SDC_CONVERGENCE)),
-    "stability-limits": ({}, _limits),
-    "local-order": ({"dt_list": _ladder(0.05)},
+    "nodes": ({}, {"M", "nodes"}, _nodes),
+    "stability-map": ({"K_list": (50,)}, {"M", "K", "nodes"},
+                      partial(_scan, ScanKind.SDC_STABILITY)),
+    "convergence-map": ({}, {"M", "nodes"}, partial(_scan, ScanKind.SDC_CONVERGENCE)),
+    "stability-limits": ({}, {"nodes"}, _limits),
+    "local-order": ({"dt_list": _ladder(0.05)}, set(_FLAGS),
                     partial(_order, run_local_order, "local_order")),
-    "global-order": ({"dt_list": _ladder(0.05)},
+    "global-order": ({"dt_list": _ladder(0.05)}, set(_FLAGS),
                      partial(_order, run_global_order, "global_order")),
-    "work-precision": ({"dt_list": _ladder(0.04)}, _work_precision),
-    "hamiltonian": ({"problem": "oscillator", "K_list": (2, 3, 4)}, _hamiltonian),
-    "integrate": ({"dt_list": (0.01,)}, _integrate),
+    "work-precision": ({"dt_list": _ladder(0.04)}, {"M", "K", "nodes", "dt"},
+                       _work_precision),
+    "hamiltonian": ({"problem": "oscillator", "K_list": (2, 3, 4)}, {"K", "nodes"},
+                    _hamiltonian),
+    "integrate": ({"dt_list": (0.01,)}, set(_FLAGS), _integrate),
 }
 
 
@@ -133,13 +151,13 @@ def main(argv=None) -> int:
         description="Velocity-Verlet SDC for second-order IVPs: solver and "
                     "benchmark harness")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_common(subs.add_parser(name))
+    for name, (_, reads, _) in COMMANDS.items():
+        _add_common(subs.add_parser(name), reads)
     args = parser.parse_args(argv)
-    defaults, tables = COMMANDS[args.command]
+    tables = COMMANDS[args.command][2]
     try:
         entries = []
-        for experiment, file_name, header, rows in tables(_build_config(defaults, args)):
+        for experiment, file_name, header, rows in tables(_build_config(args)):
             path = os.path.join(args.out, file_name)
             write_csv(path, header, rows)
             entries.append([experiment, path])

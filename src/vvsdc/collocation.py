@@ -1,7 +1,9 @@
 """The collocation system: residual, direct solve, Picard iteration, update."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -29,10 +31,21 @@ class NodeState:
 
 @dataclass
 class StepResult:
+    """A step's end state and the f-evals it spent.
+
+    ``final_residual`` is computed on first read by ``_residual()``, from
+    the last iterate and node forces the step already holds, so it costs no
+    f-evals, and a caller that never reads it never pays for it.
+    """
+
     x_end: np.ndarray
     v_end: np.ndarray
     f_evals: int
-    final_residual: float
+    _residual: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def final_residual(self) -> float:
+        return self._residual()
 
 
 def _vector(w, d):
@@ -41,9 +54,20 @@ def _vector(w, d):
     return w if w.shape == (d,) else np.broadcast_to(w, (d,)).copy()
 
 
+class _StartValue(tuple):
+    """(x0, v0) as made by :func:`_as_u0`."""
+
+
 def _as_u0(u0, d):
+    """(x0, v0) as fresh float (d,) arrays.
+
+    A pair this function made is returned unchanged, so a step converts its
+    ``u0`` once and the functions it calls reuse that pair.
+    """
+    if type(u0) is _StartValue:
+        return u0
     x0, v0 = u0
-    return _vector(x0, d), _vector(v0, d)
+    return _StartValue((_vector(x0, d), _vector(v0, d)))
 
 
 def _rows(w, n):

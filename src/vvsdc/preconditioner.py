@@ -53,55 +53,73 @@ def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
 
 
 @lru_cache(maxsize=256)
-def _node_factor(a_v: bytes, d: int, c: float):
-    """LU factor ``(lu, piv, info)`` of ``I - c*A_v`` by LAPACK ``getrf``.
+def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
+    """``(c, lu, piv)`` for nodes 1, 2, ...: the LU factor by LAPACK ``getrf``
+    of ``I - c*A_v``, ``c = dt*w`` for each node weight ``w`` of ``weights``.
 
-    ``A_v`` arrives as the bytes of its float values, so the cache keys on
-    values: two problems with equal ``A_v`` and ``c`` share one factor, and
-    two with different ``A_v`` never do.  ``getrf`` followed by ``getrs``
-    is what ``np.linalg.solve`` runs (``gesv``), so a factored solve
-    rounds exactly as that call would.
+    ``A_v`` and the weights arrive as the bytes of their float values, so
+    the cache keys on values: two problems with equal ``A_v`` share the
+    factors of a (dt, weights), and two with different ``A_v`` never do.
+    ``getrf`` followed by ``getrs`` is what ``np.linalg.solve`` runs
+    (``gesv``), so a factored solve rounds exactly as that call would.  A
+    singular node matrix is a ``SolverError`` naming the node and ``dt``.
     """
-    return dgetrf(np.eye(d) - c * np.frombuffer(a_v).reshape(d, d))
-
-
-def _solve_node_velocity(problem: SecondOrderIVP, x, b, dt, weight, f_start,
-                         node):
-    """Solve v = b + c * f(x, v), c = dt * weight, for the velocity at one node.
-
-    Linear forces solve ``(I - c A_v) v = b + c A_x x`` with the LU factor
-    of ``I - c A_v``, built once per (A_v values, c) and kept in a bounded
-    cache; a singular matrix is a ``SolverError`` naming the node and
-    ``dt``.  Velocity-independent forces are solved directly.  Any other
-    force takes a fixed-point loop that starts at v = b + c * f_start and
-    stops at the first iterate whose residual |b + c * f(x, v) - v| is at
-    most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|; that iterate is returned
-    with the force already evaluated at it.
-    """
-    c = dt * weight
-    if problem.is_linear:
-        A_x, A_v = problem.linear_parts
-        lu, piv, info = _node_factor(np.asarray(A_v, float).tobytes(),
-                                     problem.d, c)
+    A_v = np.frombuffer(a_v).reshape(d, d)
+    factors = []
+    for node, w in enumerate(np.frombuffer(weights).tolist(), 1):
+        c = dt * w
+        lu, piv, info = dgetrf(np.eye(d) - c * A_v)
         if info > 0:
             raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
                               f" (c = {c!r})", node=node)
-        v, _ = dgetrs(lu, piv, b + c * (A_x @ x))
-        return v, problem.f(x, v)
+        factors.append((c, lu, piv))
+    return tuple(factors)
+
+
+def _node_solver(problem: SecondOrderIVP, dt: float, weights):
+    """The solve of v = b + c * f(x, v), c = dt * weights[m - 1], at node m.
+
+    Returns ``solve(m, x, b, f_start) -> (v, f(x, v))``, chosen once for
+    the problem's force.  Linear forces solve ``(I - c A_v) v = b + c A_x x``
+    with the factors of :func:`_node_factors`, fetched here for all nodes
+    in one cached lookup.  Velocity-independent forces are solved directly.
+    Any other force takes a fixed-point loop that starts at
+    v = b + c * f_start and stops at the first iterate whose residual
+    |b + c * f(x, v) - v| is at most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|;
+    that iterate is returned with the force already evaluated at it.
+    """
+    weights = np.asarray(weights, float)
+    if problem.is_linear:
+        A_x, A_v = problem.linear_parts
+        factors = _node_factors(np.asarray(A_v, float).tobytes(), problem.d, dt,
+                                weights.tobytes())
+
+        def linear(m, x, b, f_start):
+            c, lu, piv = factors[m - 1]
+            v = dgetrs(lu, piv, b + c * (A_x @ x))[0]
+            return v, problem.f(x, v)
+        return linear
+    c_nodes = (dt * weights).tolist()
     if not problem.velocity_dependent.any():
-        f = problem.f(x, b)
-        return b + c * f, f
-    v = b + c * f_start
-    for _ in range(_FP_MAXITER):
-        f = problem.f(x, v)
-        v_new = b + c * f
-        # ndarray.max skips np.max's dispatch, which costs as much as the reduction
-        update = np.abs(v_new - v).max()
-        if update <= _FP_TOL + _FP_RTOL * np.abs(v_new).max():
-            return v, f
-        v = v_new
-    raise SolverError("node velocity solve did not converge", node=node,
-                      residual=float(update))
+        def direct(m, x, b, f_start):
+            f = problem.f(x, b)
+            return b + c_nodes[m - 1] * f, f
+        return direct
+
+    def fixed_point(m, x, b, f_start):
+        c = c_nodes[m - 1]
+        v = b + c * f_start
+        for _ in range(_FP_MAXITER):
+            f = problem.f(x, v)
+            v_new = b + c * f
+            # ndarray.max skips np.max's dispatch, which costs as much as the reduction
+            update = np.abs(v_new - v).max()
+            if update <= _FP_TOL + _FP_RTOL * np.abs(v_new).max():
+                return v, f
+            v = v_new
+        raise SolverError("node velocity solve did not converge", node=m,
+                          residual=float(update))
+    return fixed_point
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
@@ -111,7 +129,7 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
     ``forces``, the (M+1, d) node forces of the previous iterate, fixes the
     node-0 force (row 0) and starts each fixed-point node solve from the
-    velocity its row m gives (see :func:`_solve_node_velocity`).
+    velocity its row m gives (see :func:`_node_solver`, chosen once per call).
     Returns the node states together with the force values at all nodes,
     so callers can reuse them without re-evaluating.
     """
@@ -121,9 +139,9 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
     F[0] = forces[0]
     QT, Qx = matrices.QT, matrices.Qx
     dt2 = dt * dt
+    solve = _node_solver(problem, dt, QT.diagonal()[1:])
     for m in range(1, len(X)):
         X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
         b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
-        V[m], F[m] = _solve_node_velocity(problem, X[m], b, dt, QT[m, m],
-                                          forces[m], m)
+        V[m], F[m] = solve(m, X[m], b, forces[m])
     return X, V, F

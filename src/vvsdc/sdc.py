@@ -5,7 +5,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -110,9 +110,11 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
              config: SweeperConfig) -> StepResult:
     """One full SDC time step: starting guess, K sweeps, quadrature update.
 
-    ``final_residual`` is the collocation residual of the last iterate.
+    ``final_residual`` is the collocation residual of the last iterate,
+    computed on first read.  ``u0`` is converted once, here.
     """
     evals_before = problem.f_evals
+    u0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, config.rule, problem.d)
     state, F = initial_guess(u0, problem, dt, config, ff=ff)
     for _ in range(config.K):
@@ -124,8 +126,8 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,
                       f_evals=problem.f_evals - evals_before,
-                      final_residual=collocation_residual(problem, state, u0, dt,
-                                                          config.rule, forces=F))
+                      _residual=partial(collocation_residual, problem, state, u0,
+                                        dt, config.rule, forces=F))
 
 
 def march(step, u0, t0: float, t_end: float, dt: float):

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from vvsdc import (GuessStrategy, NodeFamily, SweeperConfig, build_rule, integrate,
+                   make_oscillator)
 from vvsdc.cli import COMMANDS, main
 from vvsdc.harness import read_csv
 
@@ -66,6 +68,12 @@ def test_integrate_command(tmp_path):
     assert len(rows) == 5
     assert rows[-1][0] == pytest.approx(0.5)
     assert rows[-1][1] == pytest.approx(np.cos(0.5), abs=1e-3)
+    # the residual column is each step's final_residual, read at %.17g
+    _, results = integrate(make_oscillator(1.0, 0.0), (1.0, 0.0), 0.0, 0.5, 0.1,
+                           SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3),
+                                         K=3, initial_guess=GuessStrategy.RANDOM,
+                                         seed=42))
+    assert [row[-1] for row in rows] == [r.final_residual for r in results]
 
 
 def test_convergence_map_command(tmp_path):
@@ -164,21 +172,24 @@ def test_flags_outrank_file(tmp_path):
     assert _listed(out) == {"sdc-stability_K2": "sdc-stability_K2.csv"}
 
 
-@pytest.mark.parametrize("ini, flags", [
-    ("[run]\ndt_list = 0\n", ()),
-    ("[run]\ndt_list = 0.1 -0.1\n", ()),
-    ("[run]\ndt_list = nan\n", ()),
-    ("", ("--dt", "0")),
-    ("", ("--dt", "-0.1")),
-    ("", ("--dt", "inf")),
-    ("[run]\nhamiltonian_dt = 0\n", ()),
-    ("[run]\nhamiltonian_dt = nan\n", ()),
+@pytest.mark.parametrize("command, ini, flags", [
+    ("nodes", "[run]\ndt_list = 0\n", ()),
+    ("nodes", "[run]\ndt_list = 0.1 -0.1\n", ()),
+    ("nodes", "[run]\ndt_list = nan\n", ()),
+    ("integrate", "", ("--dt", "0")),
+    ("integrate", "", ("--dt", "-0.1")),
+    ("integrate", "", ("--dt", "inf")),
+    ("nodes", "[run]\nhamiltonian_dt = 0\n", ()),
+    ("nodes", "[run]\nhamiltonian_dt = nan\n", ()),
 ], ids=["file-zero", "file-negative", "file-nan", "flag-zero", "flag-negative", "flag-inf",
         "hamiltonian-zero", "hamiltonian-nan"])
-def test_bad_dt_exits_2(tmp_path, ini, flags):
-    # nodes reads the whole config but never steps, so a parser that lets
-    # the bad dt through fails this test instead of hanging it
-    assert _run(tmp_path, "nodes", ini, *flags)[0] == 2
+def test_bad_dt_exits_2(tmp_path, capsys, command, ini, flags):
+    # nodes reads the whole config file but never steps, so a parser that
+    # lets the bad dt through fails this test instead of hanging it; the
+    # flag takes integrate, which reads --dt, and its march refuses such a
+    # dt too, so the message shows which check caught it
+    assert _run(tmp_path, command, ini, *flags)[0] == 2
+    assert "needs a positive finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf", "1e-13"])
@@ -198,3 +209,32 @@ def test_negative_sweep_count_or_seed_exits_2(tmp_path, capsys, command, flags):
     code, out = _run(tmp_path, command, TINY, *flags)
     assert code == 2 and not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("hamiltonian", "--M"), ("hamiltonian", "--dt"), ("stability-limits", "--M"),
+    ("stability-limits", "--K"), ("stability-limits", "--seed"), ("stability-limits", "--dt"),
+    ("work-precision", "--seed"), ("convergence-map", "--K"), ("nodes", "--dt")])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # such a flag used to be ignored with exit 0: hamiltonian --M 7 wrote its
+    # fixed M = 3 and 5 series
+    code, out = _run(tmp_path, command, TINY, flag, "2")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {command} does not read {flag}\n"
+
+
+def test_help_lists_only_the_flags_the_command_reads(capsys):
+    with pytest.raises(SystemExit):
+        main(["hamiltonian", "--help"])
+    text = capsys.readouterr().out
+    assert "--K" in text and "--nodes" in text
+    assert not {"--M", "--seed", "--dt"} & set(text.split())
+
+
+def test_config_keys_a_command_does_not_read_are_accepted(tmp_path):
+    # one config file serves every command, so a key a command does not read
+    # is no error: hamiltonian ignores [rule] m and [sweeper] seed
+    ini = TINY + "[rule]\nm = 2\n[sweeper]\nk_list = 2\nseed = 3\n"
+    code, out = _run(tmp_path, "hamiltonian", ini)
+    assert code == 0
+    assert "hamiltonian-sdc_M3_K2" in _listed(out)

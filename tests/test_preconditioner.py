@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from vvsdc import (NodeFamily, PenningParams, SolverError, SweeperConfig,
-                   build_preconditioner, build_rule, integrate, make_oscillator,
-                   make_penning, verlet_solve)
+from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
+                   SweeperConfig, build_preconditioner, build_rule, integrate,
+                   make_oscillator, make_penning, verlet_solve)
+from vvsdc import sdc as sdc_module
 from vvsdc.baselines import verlet_step
-from vvsdc.preconditioner import (_FP_RTOL, _FP_TOL, _node_factor,
-                                  _solve_node_velocity)
+from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_factors, _node_solver
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -121,6 +121,57 @@ def test_verlet_solve_matches_dense_solve():
         assert V - dt * (pre.QT @ Fd) == pytest.approx(rhs_v, abs=1e-12)
 
 
+def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces):
+    """verlet_solve of a linear force written out node by node, each node
+    velocity by np.linalg.solve (gesv, which rounds as getrf + getrs do)."""
+    A_x, A_v = problem.linear_parts
+    X, V, F = (np.array(a, dtype=float) for a in (rhs_x, rhs_v, forces))
+    for m in range(1, len(X)):
+        X[m] = rhs_x[m] + dt * dt * (pre.Qx[m, :m] @ F[:m])
+        b = rhs_v[m] + dt * (pre.QT[m, :m] @ F[:m])
+        c = dt * pre.QT[m, m]
+        V[m] = np.linalg.solve(np.eye(problem.d) - c * A_v, b + c * (A_x @ X[m]))
+        F[m] = problem.f(X[m], V[m])
+    return X, V, F
+
+
+def test_verlet_solve_is_the_reference_sweep_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        d, M = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        pre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, M))
+        problem = _linear_problem(rng.normal(size=(d, d)), rng.normal(size=(d, d)))
+        dt = float(10.0 ** rng.uniform(-3.0, 0.0))
+        rhs_x, rhs_v, forces = rng.normal(size=(3, M + 1, d))
+        got = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces)
+        want = _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+# the (M, K, start) settings of the Penning and mirror benchmark marches
+_MARCH_SETTINGS = [(3, 3, GuessStrategy.COPY_INITIAL), (3, 3, GuessStrategy.RANDOM),
+                   (3, 2, GuessStrategy.VERLET_SWEEP), (5, 3, GuessStrategy.COPY_INITIAL),
+                   (5, 3, GuessStrategy.RANDOM), (5, 4, GuessStrategy.VERLET_SWEEP)]
+
+
+@pytest.mark.parametrize("M, K, start", _MARCH_SETTINGS,
+                         ids=lambda p: getattr(p, "value", str(p)))
+def test_penning_march_is_the_reference_sweep_bit_for_bit(monkeypatch, M, K, start):
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, M), K=K,
+                        initial_guess=start, seed=42)
+    u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
+    problem = make_penning()
+    _, fast = integrate(problem, u0, 0.0, 0.2, 0.01, cfg)
+    monkeypatch.setattr(sdc_module, "verlet_solve", _reference_sweep)
+    reference = make_penning()
+    _, slow = integrate(reference, u0, 0.0, 0.2, 0.01, cfg)
+    assert problem.f_evals == reference.f_evals
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a.x_end, b.x_end) and np.array_equal(a.v_end, b.v_end)
+        assert a.final_residual == b.final_residual
+
+
 def test_nonlinear_velocity_solve_and_failure():
     # fixed-point path for a genuinely nonlinear velocity dependence
     problem = SecondOrderIVP(
@@ -228,8 +279,7 @@ def test_direct_branches_ignore_forces(make):
 
 def _node_solve(problem, c, rhs):
     """The linear node solve with x = 0, so its right-hand side is ``rhs``."""
-    v, _ = _solve_node_velocity(problem, np.zeros(problem.d), rhs, c, 1.0,
-                                None, 1)
+    v, _ = _node_solver(problem, c, (1.0,))(1, np.zeros(problem.d), rhs, None)
     return v
 
 
@@ -265,16 +315,16 @@ def test_node_factor_keys_on_values(b1, b2, c, seed):
     for problem in (first, second, first, second):
         assert np.array_equal(_node_solve(problem, c, rhs),
                               _reference_solve(problem, c, rhs))
-    hits = _node_factor.cache_info().hits
+    hits = _node_factors.cache_info().hits
     _node_solve(make_penning(PenningParams(omega_b=b2)), c, rhs)
-    assert _node_factor.cache_info().hits == hits + 1
+    assert _node_factors.cache_info().hits == hits + 1
 
 
 def test_node_factor_cache_is_bounded():
     problem = make_oscillator(1.0, 0.5)
-    for k in range(2 * _node_factor.cache_info().maxsize):
+    for k in range(2 * _node_factors.cache_info().maxsize):
         _node_solve(problem, 1e-3 * k, np.ones(1))
-    info = _node_factor.cache_info()
+    info = _node_factors.cache_info()
     assert info.currsize == info.maxsize
 
 

@@ -267,6 +267,23 @@ class TestBitIdentity:
                                                           RULE3, forces=F)
         assert res.f_evals == problem.f_evals
 
+    @pytest.mark.parametrize("make", [make_penning, _mirror_like], ids=["penning", "mirror"])
+    def test_final_residual_is_computed_on_first_read(self, monkeypatch, make):
+        # the step keeps its last iterate and forces; the residual costs no
+        # f-evals and is computed once, when it is first read
+        calls = []
+        monkeypatch.setattr(sdc_module, "collocation_residual",
+                            lambda *a, **k: calls.append(a) or collocation_residual(*a, **k))
+        u0 = (np.array([1.0, 2.0, -1.0]), np.array([3.0, -2.0, 5.0]))
+        problem = make()
+        res = sdc_step(problem, u0, 0.02, COPY3)
+        evals = problem.f_evals
+        assert calls == []
+        first = res.final_residual
+        assert res.final_residual == first and len(calls) == 1
+        assert problem.f_evals == evals and res.f_evals == evals
+        assert 0.0 < first < 1e-6
+
     @pytest.mark.parametrize("M, K", [(3, 2), (5, 4), (3, 3)])
     @pytest.mark.parametrize("make", [make_penning, lambda: make_oscillator(1.0, 0.0),
                                       _mirror_like], ids=["penning", "oscillator", "mirror"])
