@@ -5,6 +5,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -200,13 +203,94 @@ def _predicted_global(p, K, k0, velocity_dependent, var):
 
 
 # ---------------------------------------------------------------------------
+# independent runs on every usable CPU
+
+def _processes(n_items: int) -> int:
+    """Processes to share ``n_items`` runs: one per usable CPU, the caller
+    included, and no more than there are runs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_items))
+
+
+def _shares(costs, n: int):
+    """Item indices dealt to ``n`` shares, longest first, each to the least loaded."""
+    shares, loads = [[] for _ in range(n)], [0.0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+    return shares
+
+
+def _child(fn, items, write: int):
+    """A forked child's share: ``[fn(x) for x in items]``, or the exception it
+    raised with its traceback, pickled into the pipe ``write``.  Never returns."""
+    code = 1
+    try:
+        try:
+            payload = (True, [fn(x) for x in items], None)
+        except BaseException as exc:   # the caller re-raises it
+            payload = (False, exc, traceback.format_exc())
+        with os.fdopen(write, "wb") as fh:
+            pickle.dump(payload, fh)
+        code = 0
+    finally:
+        os._exit(code)   # no cleanup of the caller's state it shares
+
+
+def _map(fn, items, cost):
+    """``[fn(x) for x in items]``, shared between this process and forked children.
+
+    There is one process per usable CPU, counting this one, so that no more
+    processes are busy than there are CPUs.  Items are dealt longest-first by
+    ``cost``; this process computes share 0 and each child one other share,
+    which it sends back pickled over a pipe.  An exception raised in a child
+    is raised here, and every child is killed and reaped on every way out.
+    With one process this is the plain loop.
+    """
+    items = list(items)
+    shares = _shares([cost(x) for x in items], _processes(len(items)))
+    results = [None] * len(items)
+    children = []   # (pid, read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(fn, [items[i] for i in share], write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), share))
+        for i in shares[0]:
+            results[i] = fn(items[i])
+        for pid, fh, share in children:
+            try:
+                ok, value, trace = pickle.load(fh)
+            except EOFError:
+                raise RuntimeError(f"worker process {pid} ended without a result") from None
+            if not ok:
+                raise value from RuntimeError(f"in worker process {pid}:\n{trace}")
+            for i, result in zip(share, value):
+                results[i] = result
+    finally:
+        for pid, fh, _ in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+# ---------------------------------------------------------------------------
 # order studies
 
 def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
     """Slope-fit per-component errors over the dt ladder for every K.
 
     ``errors_at(problem, u0, dt, sweeper)`` returns the (x, v) error
-    arrays of one run; ``predict`` is the theoretical order.
+    arrays of one run; ``predict`` is the theoretical order.  The runs of
+    every (K, dt) pair are shared out by :func:`_map`, costed by sweeps
+    per unit time.
     """
     probe = config.make_problem()
     if probe.exact is None:
@@ -215,14 +299,17 @@ def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
     dts = np.asarray(config.dt_list, float)
     if len(dts) < 4:
         raise ConfigurationError("order studies need at least 4 dt values")
+    sweepers = [config.sweeper(K) for K in config.K_list]
+    pairs = [(sw, dt) for sw in sweepers for dt in dts]
+    runs = _map(lambda pair: errors_at(config.make_problem(), u0, pair[1], pair[0]),
+                pairs, cost=lambda pair: (pair[0].K + 1) / pair[1])
     errors, slopes, predicted = {}, {}, {}
-    for K in config.K_list:
-        sw = config.sweeper(K)
-        runs = [errors_at(config.make_problem(), u0, dt, sw) for dt in dts]
+    for n, (K, sw) in enumerate(zip(config.K_list, sweepers)):
+        ladder = runs[n * len(dts):(n + 1) * len(dts)]
         for j, var in enumerate("xv"):
             for i in range(probe.d):
                 label = f"K{K}_{var}{i + 1}"
-                errors[label] = np.array([run[j][i] for run in runs])
+                errors[label] = np.array([run[j][i] for run in ladder])
                 slopes[label] = fit_slope(dts, errors[label])[0]
                 predicted[label] = predict(
                     sw.rule.order, K, sw.k0, bool(probe.velocity_dependent[i]), var)
@@ -448,7 +535,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     map on (x, v); the long run iterates the one-step matrix probed from the
     actual stepper (:func:`_step_map`; its offset is zero, as these steps are
     linear), which is exact for this problem and keeps the default 1e5-step
-    run fast.
+    run fast.  The series are shared out by :func:`_map`.
 
     The starting iterate is a velocity-Verlet sweep: with a copied initial
     value, even iteration counts leave the one-step map marginally unstable
@@ -459,24 +546,27 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     if config.problem != "oscillator" or config.kappa != 1.0 or config.mu != 0.0:
         raise ConfigurationError(
             "Hamiltonian drift study needs the undamped oscillator with kappa = 1")
-    if config.n_steps < _SUBSAMPLE:
+    if config.n_steps < 3 * _SUBSAMPLE:
         raise ConfigurationError(
-            f"Hamiltonian drift study needs n_steps >= {_SUBSAMPLE}, the subsample "
-            f"of its series, got {config.n_steps}")
+            f"Hamiltonian drift study needs n_steps >= {3 * _SUBSAMPLE}, three subsamples "
+            f"of its series for the fit of its trend, got {config.n_steps}")
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
-    out = []
-    for M in M_list:
-        rule = build_rule(config.family, M)
-        for K in config.K_list:
-            sw = SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
-            problem = config.make_problem()
-            S = _step_map(problem, _sdc_stepper(problem, sw), dt)[0]
-            out.append(_drift_from_matrix(S, u0, config.n_steps, f"sdc_M{M}_K{K}"))
-    problem = config.make_problem()
-    S = _step_map(problem, _rkn4_stepper(problem), dt)[0]
-    out.append(_drift_from_matrix(S, u0, config.n_steps, "rkn4"))
-    return out
+
+    def drift(sw):
+        problem = config.make_problem()
+        if sw is None:
+            step, label = _rkn4_stepper(problem), "rkn4"
+        else:
+            step, label = _sdc_stepper(problem, sw), f"sdc_M{sw.rule.M}_K{sw.K}"
+        S = _step_map(problem, step, dt)[0]
+        return _drift_from_matrix(S, u0, config.n_steps, label)
+
+    rules = [build_rule(config.family, M) for M in M_list]
+    items = [SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
+             for rule in rules for K in config.K_list] + [None]   # None: RKN-4
+    # each series is one n_steps loop, which outweighs its probe
+    return _map(drift, items, cost=lambda sw: 1.0)
 
 
 # ---------------------------------------------------------------------------

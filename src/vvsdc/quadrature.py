@@ -10,7 +10,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import roots_jacobi
 
 from .errors import ConfigurationError
 
@@ -59,10 +58,14 @@ def generate_nodes(family: NodeFamily, M: int) -> np.ndarray:
     elif family is NodeFamily.GAUSS_LOBATTO:
         if M < 2:
             raise ConfigurationError("Lobatto rules need M >= 2")
+        # scipy.special is imported where it is used: it is most of the
+        # package's import time, and Gauss-Legendre rules never need it
+        from scipy.special import roots_jacobi
         interior = roots_jacobi(M - 2, 1.0, 1.0)[0] if M > 2 else []
         x = np.concatenate(([-1.0], interior, [1.0]))
     elif family is NodeFamily.GAUSS_RADAU:
         # free nodes of the right-Radau rule are roots of P_{M-1}^{(1,0)}
+        from scipy.special import roots_jacobi
         interior = roots_jacobi(M - 1, 1.0, 0.0)[0] if M > 1 else []
         x = np.concatenate((interior, [1.0]))
     else:  # pragma: no cover

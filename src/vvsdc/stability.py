@@ -234,10 +234,11 @@ def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,
     """Spectral radius of the relevant matrix on a rectangular parameter grid;
     its cells, row by row, are evaluated in consecutive stacks of at most ``_STACK``."""
     kappa, mu = grid.kappa_axis(), grid.mu_axis()
-    ka, m = np.meshgrid(kappa, mu, indexing="ij", copy=False)
-    rho = np.empty(ka.shape)
+    ka, m = np.repeat(kappa, len(mu)), np.tile(mu, len(kappa))   # the cells, row by row
+    rho = np.empty(ka.size)
     for cells in (slice(s, s + _STACK) for s in range(0, rho.size, _STACK)):
-        rho.flat[cells] = _rho(kind, rule, K, ka.flat[cells], m.flat[cells])
+        rho[cells] = _rho(kind, rule, K, ka[cells], m[cells])
+    rho = rho.reshape(len(kappa), len(mu))
     failures = [(kappa[i], mu[j]) for i, j in zip(*np.nonzero(np.isnan(rho)))]
     return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho, failures=failures)
 

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
-                   NodeFamily, SecondOrderIVP, SweeperConfig, build_rule,
+                   NodeFamily, SecondOrderIVP, SolverError, SweeperConfig, build_rule,
                    exact_solution, integrate, make_oscillator, picard_iterate,
                    update_step)
+from vvsdc import harness
 from vvsdc.baselines import integrate_rkn4
-from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear,
+from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear, _processes,
                            _rkn4_stepper, _step_map, fit_slope, load_config,
                            order_report_rows, read_csv, run_global_order,
                            run_hamiltonian_drift, run_local_order,
@@ -330,12 +332,21 @@ class TestHamiltonianDrift:
         assert sdc.max_rel_error < 1e-2
         assert len(sdc.steps) == 200
 
-    @pytest.mark.parametrize("n_steps", [0, 9])
-    def test_needs_one_subsample_of_steps(self, n_steps):
+    # the trend is fitted to block maxima of the subsampled series: one
+    # point gave a slope with stderr inf, two a slope with stderr 0
+    @pytest.mark.parametrize("n_steps", [0, 9, 10, 20, 29])
+    def test_needs_three_subsamples_of_steps(self, n_steps):
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,
                                K_list=(3,), n_steps=n_steps)
-        with pytest.raises(ConfigurationError, match="n_steps"):
+        with pytest.raises(ConfigurationError, match="n_steps >= 30"):
             run_hamiltonian_drift(cfg, M_list=(3,))
+
+    def test_three_subsamples_fit_a_trend(self):
+        cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,
+                               K_list=(3,), n_steps=30)
+        for series in run_hamiltonian_drift(cfg, M_list=(3,)):
+            assert len(series.steps) == 3
+            assert 0.0 < series.trend_stderr < math.inf
 
     def test_fast_path_matches_direct_stepping(self):
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,
@@ -353,6 +364,103 @@ class TestHamiltonianDrift:
                            for r in results])
         direct = np.abs(energy - 0.5)[a.steps - 1] / 0.5
         assert a.rel_error == pytest.approx(direct, rel=1e-8, abs=1e-12)
+
+
+class TestMap:
+    """``harness._map`` shares runs between the caller and forked children."""
+
+    ORDER = ExperimentConfig(M=2, K_list=(1, 2, 3), t_end=0.2,
+                             dt_list=(0.05, 0.025, 0.0125, 0.00625))
+    DRIFT = ExperimentConfig(problem="oscillator", K_list=(2, 3), n_steps=300)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The calls of os.fork, counted in this process."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def shared_and_serial(self, monkeypatch, forks, run, cfg, n, items):
+        self.cpus(monkeypatch, n)
+        shared = run(cfg)
+        assert len(forks) == min(n, items) - 1
+        self.cpus(monkeypatch, 1)
+        serial = run(cfg)
+        assert len(forks) == min(n, items) - 1
+        return shared, serial
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("run", [run_global_order, run_local_order])
+    def test_order_report_is_the_serial_one(self, monkeypatch, forks, run, n):
+        shared, serial = self.shared_and_serial(monkeypatch, forks, run, self.ORDER, n,
+                                                len(self.ORDER.K_list) * 4)
+        assert np.array_equal(shared.dts, serial.dts)
+        assert shared.errors.keys() == serial.errors.keys()
+        for label, errors in serial.errors.items():
+            assert np.array_equal(shared.errors[label], errors)
+        assert all(math.isfinite(s) for s in serial.slopes.values())
+        assert shared.slopes == serial.slopes
+        assert shared.predicted == serial.predicted
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_drift_series_are_the_serial_ones(self, monkeypatch, forks, n):
+        shared, serial = self.shared_and_serial(monkeypatch, forks, run_hamiltonian_drift,
+                                                self.DRIFT, n, 5)
+        assert [s.label for s in shared] == [s.label for s in serial]
+        for a, b in zip(shared, serial):
+            for name, value in vars(b).items():
+                assert np.array_equal(getattr(a, name), value), (a.label, name)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_without_fork_or_affinity(self, monkeypatch, missing):
+        monkeypatch.delattr(os, missing)
+        assert _processes(10) == 1
+
+    def failing_integrate(self, monkeypatch, where, exc):
+        """harness.integrate raising ``exc`` in the caller (``where`` = "caller")
+        or in every child, and integrating as before in the others."""
+        caller = os.getpid()
+
+        def run(*args):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise exc
+            return integrate(*args)
+        monkeypatch.setattr(harness, "integrate", run)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch, forks):
+        self.cpus(monkeypatch, 2)
+        self.failing_integrate(monkeypatch, "child", SolverError("no convergence at node 2"))
+        with pytest.raises(SolverError) as raised:
+            run_global_order(self.ORDER)
+        assert type(raised.value) is SolverError
+        assert str(raised.value) == "no convergence at node 2"
+        assert "in worker process" in str(raised.value.__cause__)
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [SolverError("no convergence at node 2"),
+                                     KeyboardInterrupt()], ids=["SolverError", "interrupt"])
+    def test_caller_exception_leaves_no_child(self, monkeypatch, forks, exc):
+        self.cpus(monkeypatch, 2)
+        self.failing_integrate(monkeypatch, "caller", exc)
+        with pytest.raises(type(exc)):
+            run_global_order(self.ORDER)
+        assert len(forks) == 1
+        self.assert_no_child_left()
 
 
 def test_csv_full_precision_roundtrip(tmp_path):
