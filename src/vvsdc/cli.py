@@ -1,7 +1,7 @@
 """Command-line front end for the experiment harness.
 
-Every subcommand writes CSV files (full %.17g precision) into the output
-directory plus a summary.csv describing what was produced.
+Every subcommand writes CSV tables, column by column with floats at full
+%.17g precision, into the output directory plus a summary.csv of them.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError
-from .harness import (ExperimentConfig, apply_settings, order_report_rows,
-                      read_settings, run_global_order, run_hamiltonian_drift,
-                      run_limits, run_local_order, run_work_precision,
-                      scan_rows, write_csv)
+from .harness import (ExperimentConfig, apply_settings, read_settings,
+                      run_global_order, run_hamiltonian_drift, run_limits,
+                      run_local_order, run_work_precision, write_csv)
 from .quadrature import build_rule
 from .sdc import integrate
 from .stability import ScanKind, scan_domain
@@ -61,50 +60,55 @@ def _build_config(args) -> ExperimentConfig:
     return apply_settings(replace(ExperimentConfig(), **defaults), settings)
 
 
-# Each command's tables(cfg) yields (experiment, file name, header, rows).
+# Each command's tables(cfg) yields (experiment, file name, header, columns).
 
 def _nodes(cfg):
     rule = build_rule(cfg.family, cfg.M)
     yield "nodes", "nodes.csv", ["index", "tau", "weight"], [
-        [m + 1, float(t), float(w)] for m, (t, w) in enumerate(zip(rule.nodes, rule.q[1:]))]
+        range(1, rule.M + 1), rule.nodes, rule.q[1:]]
 
 
 def _scan(kind, cfg):
     # the convergence matrix does not depend on K
     K = None if kind is ScanKind.SDC_CONVERGENCE else cfg.K_list[0]
     name = kind.value + (f"_K{K}" if K is not None else "")
-    result = scan_domain(kind, build_rule(cfg.family, cfg.M), K, cfg.grid)
-    yield (name, f"{name}.csv", *scan_rows(result))
+    res = scan_domain(kind, build_rule(cfg.family, cfg.M), K, cfg.grid)
+    yield name, f"{name}.csv", ["dt_kappa", "dt_mu", "rho", "stable"], [   # kappa-major
+        np.repeat(res.kappa, len(res.mu)), np.tile(res.mu, len(res.kappa)),
+        res.rho.ravel(), res.stable_mask().ravel().astype(int)]
 
 
 def _limits(cfg):
-    table = run_limits(cfg)
-    header = ["K", "M", "sdc_limit", "picard_limit"]
-    yield "stability-limits", "stability_limits.csv", header, [
-        [K, M, sdc, pic] for (K, M), (sdc, pic) in sorted(table.items())]
+    cells, limits = zip(*sorted(run_limits(cfg).items()))
+    yield "stability-limits", "stability_limits.csv", [
+        "K", "M", "sdc_limit", "picard_limit"], [*zip(*cells), *zip(*limits)]
 
 
 def _order(runner, name, cfg):
     report = runner(cfg)
-    yield (name, f"{name}.csv", *order_report_rows(report))
+    labels = sorted(report.errors)
+    yield name, f"{name}.csv", ["dt", *labels], [
+        report.dts, *(report.errors[lbl] for lbl in labels)]
     yield f"{name}-slopes", f"{name}_slopes.csv", ["label", "slope", "predicted"], [
-        [lbl, report.slopes[lbl], report.predicted[lbl]] for lbl in sorted(report.slopes)]
+        labels, [report.slopes[lbl] for lbl in labels],
+        [report.predicted[lbl] for lbl in labels]]
 
 
 def _work_precision(cfg):
     header = ["method", "K", "dt", "f_evals", "err1", "err3"]
+    rows = run_work_precision(cfg)
     yield "work-precision", "work_precision.csv", header, [
-        [row[c] for c in header] for row in run_work_precision(cfg)]
+        [row[c] for row in rows] for c in header]
 
 
 def _hamiltonian(cfg):
     series = run_hamiltonian_drift(cfg)
     for s in series:
-        yield f"hamiltonian-{s.label}", f"hamiltonian_{s.label}.csv", ["step", "rel_h_error"], (
-            [int(n), float(e)] for n, e in zip(s.steps, s.rel_error))
-    yield "hamiltonian-summary", "hamiltonian_summary.csv", [
-        "label", "max_rel_error", "trend_slope", "trend_stderr"], [
-        [s.label, s.max_rel_error, s.trend_slope, s.trend_stderr] for s in series]
+        yield (f"hamiltonian-{s.label}", f"hamiltonian_{s.label}.csv",
+               ["step", "rel_h_error"], [s.steps, s.rel_error])
+    fields = ["label", "max_rel_error", "trend_slope", "trend_stderr"]
+    yield "hamiltonian-summary", "hamiltonian_summary.csv", fields, [
+        [getattr(s, f) for s in series] for f in fields]
 
 
 def _integrate(cfg):
@@ -114,10 +118,11 @@ def _integrate(cfg):
     d = problem.d
     header = (["t"] + [f"x{i+1}" for i in range(d)] + [f"v{i+1}" for i in range(d)]
               + ["f_evals", "residual"])
+    x = np.array([r.x_end for r in results])   # (steps, d)
+    v = np.array([r.v_end for r in results])
     yield "integrate", "trajectory.csv", header, [
-        [float(t)] + [float(c) for c in np.atleast_1d(r.x_end)]
-        + [float(c) for c in np.atleast_1d(r.v_end)] + [r.f_evals, r.final_residual]
-        for t, r in zip(times, results)]
+        times, *x.T, *v.T, [r.f_evals for r in results],
+        [r.final_residual for r in results]]
 
 
 def _ladder(dt0):
@@ -157,11 +162,12 @@ def main(argv=None) -> int:
     tables = COMMANDS[args.command][2]
     try:
         entries = []
-        for experiment, file_name, header, rows in tables(_build_config(args)):
+        for experiment, file_name, header, columns in tables(_build_config(args)):
             path = os.path.join(args.out, file_name)
-            write_csv(path, header, rows)
-            entries.append([experiment, path])
-        write_csv(os.path.join(args.out, "summary.csv"), ["experiment", "file"], entries)
+            write_csv(path, header, columns)
+            entries.append((experiment, path))
+        write_csv(os.path.join(args.out, "summary.csv"), ["experiment", "file"],
+                  zip(*entries))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

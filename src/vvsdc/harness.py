@@ -20,7 +20,7 @@ from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
 from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
-from .stability import GridSpec, ScanKind, ScanResult, stability_limit
+from .stability import GridSpec, ScanKind, stability_limit
 
 SATURATION_LOW = 1e-12
 SATURATION_HIGH = 1e2
@@ -81,11 +81,14 @@ def _at_least(low, text):
     return value
 
 
-def _values(kind):
+def _values(kind, distinct=True):
+    """Parser of a list of values; a list of runs (``distinct``) repeats none."""
     def parse(text):
         values = tuple(kind(x) for x in text.split())
         if not values:
             raise ValueError("needs at least one value")
+        if distinct and len(set(values)) < len(values):
+            raise ValueError("needs distinct values")
         return values
     return parse
 
@@ -99,8 +102,8 @@ CONFIG_KEYS = {
     ("problem", "omega_b"): ("penning.omega_b", float),
     ("problem", "omega_e"): ("penning.omega_e", float),
     ("problem", "epsilon"): ("penning.epsilon", float),
-    ("problem", "x0"): ("penning.x0", _values(float)),
-    ("problem", "v0"): ("penning.v0", _values(float)),
+    ("problem", "x0"): ("penning.x0", _values(float, distinct=False)),
+    ("problem", "v0"): ("penning.v0", _values(float, distinct=False)),
     ("rule", "family"): ("family", NodeFamily.from_name),
     ("rule", "m"): ("M", int),
     ("sweeper", "k_list"): ("K_list", _values(partial(_at_least, 0))),
@@ -588,18 +591,19 @@ def run_limits(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # CSV output
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def write_csv(path: str, header, rows):
+def write_csv(path: str, header, columns):
+    """Write ``columns`` under ``header``.  A column is an array or an iterable,
+    written whole: at %.17g if it holds a float, as ``str`` otherwise."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{len(header)} names in the header for columns of lengths "
+                         f"{[len(c) for c in columns]}")
+    cells = [map("{:.17g}".format if any(isinstance(x, float) for x in c) else str, c)
+             for c in columns]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_csv(path: str):
@@ -616,20 +620,3 @@ def read_csv(path: str):
                     parsed.append(c)
             rows.append(parsed)
     return header, rows
-
-
-def order_report_rows(report: OrderReport):
-    labels = sorted(report.errors)
-    header = ["dt"] + labels
-    rows = []
-    for i, dt in enumerate(report.dts):
-        rows.append([float(dt)] + [float(report.errors[lbl][i]) for lbl in labels])
-    return header, rows
-
-
-def scan_rows(result: ScanResult):
-    """One row per grid cell, kappa-major; ``rows`` is a generator."""
-    rows = ([ka, m, r, int(stable)]
-            for ka, rho_row, stable_row in zip(result.kappa, result.rho, result.stable_mask())
-            for m, r, stable in zip(result.mu, rho_row, stable_row))
-    return ["dt_kappa", "dt_mu", "rho", "stable"], rows

@@ -17,7 +17,7 @@ finite (an overflow, or a zero pivot) reads NaN, without redoing its stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -75,7 +75,11 @@ class ScanResult:
     kappa: np.ndarray   # (n_kappa,)
     mu: np.ndarray      # (n_mu,)
     rho: np.ndarray     # (n_kappa, n_mu) spectral radii, NaN where assembly failed
-    failures: list = field(default_factory=list)   # (dt_kappa, dt_mu) of failed cells
+
+    @property
+    def failures(self) -> list:
+        """(dt_kappa, dt_mu) of the cells that read NaN, row by row."""
+        return [(self.kappa[i], self.mu[j]) for i, j in zip(*np.nonzero(np.isnan(self.rho)))]
 
     def stable_mask(self) -> np.ndarray:
         return self.rho <= 1.0 + _STABLE_TOL
@@ -166,8 +170,9 @@ def _radius(S) -> np.ndarray:
 
 def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
     """Spectral radii over a stack of cells, evaluated once; a cell whose matrix is
-    not finite (an overflow, or a singular system) reads NaN."""
-    S = _matrix(kind, rule, K, kappa, mu)
+    not finite (an overflow, or a singular system) reads NaN, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S = _matrix(kind, rule, K, kappa, mu)
     finite = np.isfinite(S).all(axis=(-2, -1))
     rho = np.full(len(S), np.nan)
     rho[finite] = _radius(S[finite])
@@ -176,7 +181,8 @@ def _rho(kind, rule, K, kappa, mu) -> np.ndarray:
 
 def _cell(stacked, dt_kappa: float, dt_mu: float) -> np.ndarray:
     """``stacked(kappa, mu)`` at one cell; a singular or overflowing one is an AnalysisError."""
-    out = stacked(np.array([dt_kappa]), np.array([dt_mu]))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = stacked(np.array([dt_kappa]), np.array([dt_mu]))[0]
     if not np.all(np.isfinite(out)):
         raise AnalysisError(f"not finite at dt*kappa={dt_kappa}, dt*mu={dt_mu}")
     return out
@@ -238,9 +244,7 @@ def scan_domain(kind: ScanKind, rule: QuadratureRule, K: int | None,
     rho = np.empty(ka.size)
     for cells in (slice(s, s + _STACK) for s in range(0, rho.size, _STACK)):
         rho[cells] = _rho(kind, rule, K, ka[cells], m[cells])
-    rho = rho.reshape(len(kappa), len(mu))
-    failures = [(kappa[i], mu[j]) for i, j in zip(*np.nonzero(np.isnan(rho)))]
-    return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho, failures=failures)
+    return ScanResult(kind=kind, K=K, kappa=kappa, mu=mu, rho=rho.reshape(len(kappa), len(mu)))
 
 
 def stability_limit(kind: ScanKind, rule: QuadratureRule, K: int) -> float:

@@ -238,3 +238,40 @@ def test_config_keys_a_command_does_not_read_are_accepted(tmp_path):
     code, out = _run(tmp_path, "hamiltonian", ini)
     assert code == 0
     assert "hamiltonian-sdc_M3_K2" in _listed(out)
+
+
+def test_nodes_text_is_pinned(tmp_path):
+    # an int column and two float columns, each written whole
+    out = tmp_path / "out"
+    assert main(["nodes", "--out", str(out), "--M", "2"]) == 0
+    assert (out / "nodes.csv").read_text() == (
+        "index,tau,weight\n1,0.21132486540518713,0.5\n2,0.78867513459481287,0.5\n")
+    assert (out / "summary.csv").read_text() == (
+        f"experiment,file\nnodes,{os.path.join(str(out), 'nodes.csv')}\n")
+
+
+@pytest.mark.parametrize("command, ini, flags, key", [
+    ("global-order", TINY, ("--K", "1", "1"), "[sweeper] k_list"),
+    ("hamiltonian", TINY, ("--K", "2", "2"), "[sweeper] k_list"),
+    ("work-precision", TINY + "[sweeper]\nk_list = 2 3 2\n", (), "[sweeper] k_list"),
+    ("integrate", TINY, ("--dt", "0.1", "0.10"), "[run] dt_list"),
+    ("nodes", "[run]\ndt_list = 0.1 0.2 0.1\n", (), "[run] dt_list"),
+    ("work-precision", TINY.replace("[run]\n", "[run]\nmethods = sdc rkn4 sdc\n"), (),
+     "[run] methods"),
+], ids=["global-order-K", "hamiltonian-K", "k_list", "flag-dt", "dt_list", "methods"])
+def test_repeated_run_values_exit_2(tmp_path, capsys, command, ini, flags, key):
+    # a repeated K, dt or method used to rerun and overwrite, or list, a run twice
+    code, out = _run(tmp_path, command, ini, *flags)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} = ") and err.endswith("needs distinct values\n")
+
+
+def test_repeated_start_components_are_accepted(tmp_path):
+    # x0 and v0 are vectors, not lists of runs: a component may repeat
+    code, out = _run(tmp_path, "integrate",
+                     "[problem]\nx0 = 10 0 0\nv0 = 1 1 1\n[run]\nt_end = 0.02\n")
+    assert code == 0
+    _, rows = read_csv(str(out / "trajectory.csv"))
+    assert len(rows) == 2
+    assert rows[0][1:4] == pytest.approx([10.0, 0.0, 0.0], abs=0.05)   # x after 0.01

@@ -13,11 +13,11 @@ from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
                    update_step)
 from vvsdc import harness
 from vvsdc.baselines import integrate_rkn4
+from vvsdc.cli import _order
 from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear, _processes,
                            _rkn4_stepper, _step_map, fit_slope, load_config,
-                           order_report_rows, read_csv, run_global_order,
-                           run_hamiltonian_drift, run_local_order,
-                           run_work_precision, write_csv)
+                           read_csv, run_global_order, run_hamiltonian_drift,
+                           run_local_order, run_work_precision, write_csv)
 from vvsdc.sdc import march
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -159,14 +159,15 @@ class TestOrderRuns:
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, M=2,
                                K_list=(1,), dt_list=(0.2, 0.1, 0.05, 0.025))
         report = run_local_order(cfg)
-        header, rows = order_report_rows(report)
-        assert header[0] == "dt"
-        assert len(rows) == 4
+        _, _, header, columns = next(_order(lambda cfg: report, "local_order", cfg))
+        assert header == ["dt", "K1_v1", "K1_x1"]
         path = tmp_path / "report.csv"
-        write_csv(str(path), header, rows)
-        header2, rows2 = read_csv(str(path))
+        write_csv(str(path), header, columns)
+        header2, rows = read_csv(str(path))
         assert header2 == header
-        assert np.allclose(np.array(rows2, float), np.array(rows, float))
+        # every error is read back exactly, one row per dt
+        assert np.array_equal(np.array(rows), np.column_stack(
+            [report.dts, report.errors["K1_v1"], report.errors["K1_x1"]]))
 
 
 def test_work_precision_rows():
@@ -465,9 +466,37 @@ class TestMap:
 
 def test_csv_full_precision_roundtrip(tmp_path):
     path = tmp_path / "vals.csv"
-    values = [[np.pi, 1.0 / 3.0, 1e-300], [7, "label", -0.1]]
-    write_csv(str(path), ["a", "b", "c"], values)
+    write_csv(str(path), ["a", "b", "c"],
+              [[np.pi, 1.0 / 3.0, -0.1], np.array([7, 8, 9]), ["x", "label", "y"]])
     _, rows = read_csv(str(path))
-    assert rows[0][0] == np.pi
-    assert rows[0][1] == 1.0 / 3.0
-    assert rows[1][1] == "label"
+    assert [row[0] for row in rows] == [np.pi, 1.0 / 3.0, -0.1]
+    assert [row[1] for row in rows] == [7, 8, 9]
+    assert [row[2] for row in rows] == ["x", "label", "y"]
+
+
+class TestWriteCsv:
+    def test_columns_are_written_whole(self, tmp_path):
+        # floats at %.17g, ints and strings as str; an array is taken as its values
+        path = tmp_path / "cols.csv"
+        floats = np.array([np.pi, 1e-300, np.nan, np.inf])
+        write_csv(str(path), ["f", "i", "s"], [floats, range(4), ("a", "b", "c", "d")])
+        assert path.read_text() == ("f,i,s\n3.1415926535897931,0,a\n1e-300,1,b\n"
+                                    "nan,2,c\ninf,3,d\n")
+        _, rows = read_csv(str(path))
+        assert np.array_equal(np.array([row[0] for row in rows]), floats, equal_nan=True)
+
+    def test_a_column_with_a_float_is_written_at_full_precision(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        write_csv(str(path), ["x", "n"], [[1, 0.1], np.array([5, 6], dtype=np.int64)])
+        assert path.read_text() == "x,n\n1,5\n0.10000000000000001,6\n"
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [[1.0, 2.0], [3]]),
+        (["a", "b"], [[1.0, 2.0]]),
+        (["a"], [[1.0], [2.0]]),
+    ], ids=["unequal-lengths", "too-few-columns", "too-many-columns"])
+    def test_bad_shape_is_value_error_and_no_file(self, tmp_path, header, columns):
+        path = tmp_path / "sub" / "bad.csv"
+        with pytest.raises(ValueError, match="header"):
+            write_csv(str(path), header, columns)
+        assert not path.parent.exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
                    build_P_sdc, build_preconditioner, build_rule, make_oscillator,
                    picard_iterate, scan_domain, spectral_radius,
                    stability_function, stability_limit, update_step)
+from vvsdc.cli import _scan
 from vvsdc.collocation import solve_collocation_linear
-from vvsdc.harness import (_rkn4_stepper, _sdc_stepper, _step_map, scan_rows,
-                           write_csv)
+from vvsdc.harness import (ExperimentConfig, _rkn4_stepper, _sdc_stepper, _step_map,
+                           read_csv, write_csv)
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 
@@ -358,15 +360,65 @@ class TestScansAndLimits:
             stability_function(0.0, -2.0, rule, None, ScanKind.COLLOCATION)
 
     def test_scan_csv_roundtrip(self, tmp_path):
-        grid = GridSpec(kappa_max=1.0, mu_max=1.0, kappa_cells=3, mu_cells=3)
+        # one row per cell, kappa-major, read back exactly; a NaN cell is unstable
+        grid = GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=3, mu_cells=2)
+        cfg = ExperimentConfig(K_list=(2,), grid=grid)
         res = scan_domain(ScanKind.SDC_STABILITY, RULE3, 2, grid)
+        _, _, header, columns = next(_scan(ScanKind.SDC_STABILITY, cfg))
         path = tmp_path / "scan.csv"
-        write_csv(str(path), *scan_rows(res))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "dt_kappa,dt_mu,rho,stable"
-        assert len(lines) == 1 + 9
-        first = lines[1].split(",")
-        assert float(first[2]) == pytest.approx(res.rho[0, 0])
+        write_csv(str(path), header, columns)
+        header2, rows = read_csv(str(path))
+        assert header2 == ["dt_kappa", "dt_mu", "rho", "stable"]
+        cells = [(ka, m, r, s) for ka, rho_row, stable_row
+                 in zip(res.kappa, res.rho, res.stable_mask())
+                 for m, r, s in zip(res.mu, rho_row, stable_row)]
+        assert len(rows) == len(cells) == 6
+        for row, (ka, m, r, s) in zip(rows, cells):
+            assert row[:2] == [ka, m] and row[3] == int(s)
+            assert row[2] == r or (math.isnan(row[2]) and math.isnan(r))
+        assert "1\n" in path.read_text() and ",nan,0\n" in path.read_text()
+
+    def test_failed_cells_raise_no_warning(self):
+        # the non-finite and singular grids of the tests above: their failed
+        # cells read NaN and are listed in failures, and are not warned about
+        pivots = []   # (rule, grid with a zero Verlet pivot)
+        for family, M in [(NodeFamily.GAUSS_LEGENDRE, 1), (NodeFamily.GAUSS_RADAU, 1),
+                          (NodeFamily.GAUSS_LOBATTO, 3)]:
+            rule = build_rule(family, M)
+            q = build_preconditioner(rule).QT[M, M]
+            pivots.append((rule, GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-1.0 / q,
+                                          mu_max=0.0, mu_cells=2)))
+        overflows = [GridSpec(kappa_max=1e300, mu_max=2.0, kappa_cells=3, mu_cells=100),
+                     GridSpec(kappa_max=2.0, mu_max=1e300, kappa_cells=150, mu_cells=2)]
+        cases = [(ScanKind.SDC_STABILITY, RULE3, 50,
+                  GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3)),
+                 (ScanKind.COLLOCATION, build_rule(NodeFamily.GAUSS_LEGENDRE, 1), None,
+                  GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-2.0, mu_max=0.0,
+                           mu_cells=3))]
+        cases += [(kind, build_rule(NodeFamily.GAUSS_LEGENDRE, M), 3, grid)
+                  for kind in ScanKind for M in (3, 5) for grid in overflows]
+        cases += [(kind, rule, 3, grid) for rule, grid in pivots
+                  for kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE)]
+        failed = 0
+        for kind, rule, K, grid in cases:
+            with np.errstate(all="ignore"):
+                ref = scan_domain(kind, rule, K, grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = scan_domain(kind, rule, K, grid)
+            assert np.array_equal(res.rho, ref.rho, equal_nan=True)
+            assert res.failures == ref.failures
+            failed += len(res.failures)
+        assert failed > 0
+        # a failed cell on its own is an AnalysisError, and no warning
+        rule, grid = pivots[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cell in [lambda: stability_function(0.0, grid.mu_min, rule, 3),
+                         lambda: build_P_sdc(0.0, grid.mu_min, rule, 3),
+                         lambda: stability_function(1e300, 0.0, RULE3, 50)]:
+                with pytest.raises(AnalysisError, match="not finite"):
+                    cell()
 
     def test_rkn4_axis_limit(self):
         # RK4 on the companion system loses |R| <= 1 at dt*kappa = 8
