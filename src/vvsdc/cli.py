@@ -1,7 +1,9 @@
 """Command-line front end for the experiment harness.
 
 Every subcommand writes CSV tables, column by column with floats at full
-%.17g precision, into the output directory plus a summary.csv of them.
+%.17g precision, into the output directory plus a summary.csv of them.  A run
+exits 0 with its tables, or with one ``error:`` line on stderr: 2 for a bad
+setting, 3 for a divergence or a failed node solve or stability cell.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AnalysisError, ConfigurationError, DivergenceError, SolverError
 from .harness import (ExperimentConfig, apply_settings, read_settings,
                       run_global_order, run_hamiltonian_drift, run_limits,
                       run_local_order, run_work_precision, write_csv)
@@ -171,6 +173,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (DivergenceError, SolverError, AnalysisError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -540,11 +540,11 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     linear), which is exact for this problem and keeps the default 1e5-step
     run fast.  The series are shared out by :func:`_map`.
 
-    The starting iterate is a velocity-Verlet sweep: with a copied initial
-    value, even iteration counts leave the one-step map marginally unstable
-    at this step size (spectral radius above 1 by ~1e-6), which shows up as
-    slow exponential energy growth over long runs, whereas the verlet start
-    keeps every K in the K=2..4 range conservative.
+    The starting iterate is a velocity-Verlet sweep, so the step at K is the
+    copy start's at K + 1, to the bit.  No K is conservative: the one-step
+    map's |lambda| - 1 changes sign with every sweep.  At M = 3 and the
+    default dt = 2 pi / 10 it reads -3.35e-8, +2.18e-10 and -1.42e-12 for
+    K = 2, 3, 4, so K = 3 grows by 2.18e-10 per step and the other two decay.
     """
     if config.problem != "oscillator" or config.kappa != 1.0 or config.mu != 0.0:
         raise ConfigurationError(
@@ -605,18 +605,3 @@ def write_csv(path: str, header, columns):
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
-
-def read_csv(path: str):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            cells = line.strip().split(",")
-            parsed = []
-            for c in cells:
-                try:
-                    parsed.append(float(c))
-                except ValueError:
-                    parsed.append(c)
-            rows.append(parsed)
-    return header, rows

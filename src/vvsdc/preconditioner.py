@@ -1,6 +1,7 @@
 """Velocity-Verlet matrices and the node-by-node solve they enable."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,7 +87,9 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     Any other force takes a fixed-point loop that starts at
     v = b + c * f_start and stops at the first iterate whose residual
     |b + c * f(x, v) - v| is at most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|;
-    that iterate is returned with the force already evaluated at it.
+    that iterate is returned with the force already evaluated at it.  A loop
+    that meets a residual that is not finite, or runs _FP_MAXITER iterations,
+    raises a ``SolverError`` that names the node and carries that residual.
     """
     weights = np.asarray(weights, float)
     if problem.is_linear:
@@ -116,9 +119,11 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
             update = np.abs(v_new - v).max()
             if update <= _FP_TOL + _FP_RTOL * np.abs(v_new).max():
                 return v, f
+            if not math.isfinite(update):   # NaN never meets the stop test
+                break
             v = v_new
-        raise SolverError("node velocity solve did not converge", node=m,
-                          residual=float(update))
+        raise SolverError(f"node velocity solve did not converge at node {m}"
+                          f" (residual {update:g})", node=m, residual=float(update))
     return fixed_point
 
 

@@ -6,11 +6,12 @@ evaluation over a stack of cells (kappa[i], mu[i]).
 
 The force on the node values U = (X, V) is F = E G, with E = [I; I] and
 G = [-kappa I, -mu I], so the engine runs in node-force coordinates y = G U.
-With W = Q_pre E and D = (Q_coll - Q_pre) E, where Q_pre is velocity-Verlet,
-zero or Q_coll, a sweep is y <- A y + B (x0, v0): A = (I - G W)^(-1) G D and
-B = (I - G W)^(-1) G C_coll [1, 0; 0, 1].  By the push-through identity
-G (I - W G)^(-1) = (I - G W)^(-1) G, the nonzero spectrum of the iteration
-matrix (I - Q_pre F)^(-1) (Q_coll - Q_pre) F is A's: systems are (M+1)-square.
+With W = Q_pre E and D = (Q_coll - Q_pre) E, where Q_pre is velocity-Verlet
+for SDC and zero for Picard, a sweep is y <- A y + B (x0, v0), with
+A = (I - G W)^(-1) G D and B = (I - G W)^(-1) G C_coll [1, 0; 0, 1].  By the
+push-through identity G (I - W G)^(-1) = (I - G W)^(-1) G, the nonzero
+spectrum of the iteration matrix (I - Q_pre F)^(-1) (Q_coll - Q_pre) F is A's:
+systems are (M+1)-square.
 Velocity-Verlet's I - G W is lower triangular and solved node by node, as a sweep
 is; 2x2 spectral radii are taken in closed form; and a cell whose matrix is not
 finite (an overflow, or a zero pivot) reads NaN, without redoing its stack.
@@ -33,8 +34,6 @@ class ScanKind(Enum):
     SDC_CONVERGENCE = "sdc-convergence"
     PICARD_STABILITY = "picard-stability"
     PICARD_CONVERGENCE = "picard-convergence"
-    RKN4 = "rkn4"
-    COLLOCATION = "collocation"
 
 
 _CONVERGENCE_KINDS = (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE)
@@ -87,23 +86,11 @@ class ScanResult:
 
 def _parts(rule: QuadratureRule, kind: ScanKind):
     """((Wx, Wv), (Dx, Dv)): the position and velocity rows of W = Q_pre E and
-    D = (Q_coll - Q_pre) E; Q_pre is velocity-Verlet, zero or Q_coll."""
+    D = (Q_coll - Q_pre) E; Q_pre is velocity-Verlet for SDC, zero for Picard."""
     if kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE):
         pre = build_preconditioner(rule)
         return (pre.Qx, pre.QT), (pre.QQ_Qx, pre.Q_QT)
-    coll, zero = (rule.QQ, rule.Q), (np.zeros_like(rule.Q),) * 2
-    return (coll, zero) if kind is ScanKind.COLLOCATION else (zero, coll)
-
-
-def _rkn4(kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Classical RK4 polynomial of the companion matrix, one 2x2 per cell."""
-    A = np.zeros((len(kappa), 2, 2))
-    A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = 1.0, -kappa, -mu
-    R = term = np.eye(2)
-    for i in range(1, 5):
-        term = term @ A / i
-        R = R + term
-    return R
+    return (np.zeros_like(rule.Q),) * 2, (rule.QQ, rule.Q)
 
 
 def _forward(L, R):
@@ -112,15 +99,6 @@ def _forward(L, R):
     for j in range(L.shape[-1]):
         X[:, j] = (R[:, j] - (L[:, j, None, :j] @ X[:, :j])[:, 0]) / L[:, j, j, None]
     return X
-
-
-def _lu_solve(L, R):
-    """Stacked L X = R by LU; LAPACK names no singular cell, so each is then solved alone."""
-    try:
-        return np.linalg.solve(L, R)
-    except np.linalg.LinAlgError:
-        return np.full_like(R, np.nan) if len(L) == 1 else np.concatenate(
-            [_lu_solve(L[i:i + 1], R[i:i + 1]) for i in range(len(L))])
 
 
 def _sweeps(A, y, B, K):
@@ -132,9 +110,7 @@ def _sweeps(A, y, B, K):
 
 
 def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
-    """Stack of what ``kind`` measures: M x M iteration, 2x2 step or RK4 matrices."""
-    if kind is ScanKind.RKN4:
-        return _rkn4(kappa, mu)
+    """Stack of what ``kind`` measures: M x M iteration or 2x2 step matrices."""
     (Wx, Wv), (Dx, Dv) = _parts(rule, kind)
     k, m = kappa[:, None, None], mu[:, None, None]
     # y is carried as y / s, s = 2^n <= max(1, |kappa|, |mu|): exact, finite where y overflows
@@ -144,14 +120,13 @@ def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     y = np.stack([gk * ones, gm * ones], axis=-1)                  # G U_0 of the copy start
     GC = np.stack([gk * ones, gk * rule.tau + gm * ones], axis=-1)  # G C_coll U_0: free flight
     AB = np.concatenate([-k * Dx - m * Dv, GC], axis=-1)
-    if Wx.any() or Wv.any():   # Picard's I - G W is I; only collocation's is full
-        solve = _lu_solve if kind is ScanKind.COLLOCATION else _forward
-        AB = solve(np.eye(len(ones)) + k * Wx + m * Wv, AB)
+    if Wx.any() or Wv.any():   # Picard's I - G W is I
+        AB = _forward(np.eye(len(ones)) + k * Wx + m * Wv, AB)
     # contiguous A and B: matmul on a strided view runs about twice as slow
     A, B = map(np.ascontiguousarray, np.split(AB, [len(ones)], axis=-1))
     if kind in _CONVERGENCE_KINDS:   # A's node-0 row is zero
         return A[:, 1:, 1:]
-    y = s[:, None, None] * (B if kind is ScanKind.COLLOCATION else _sweeps(A, y, B, K))
+    y = s[:, None, None] * _sweeps(A, y, B, K)
     return np.array([[1.0, 1.0], [0.0, 1.0]]) + np.stack([rule.qQ, rule.q]) @ y
 
 
@@ -229,9 +204,9 @@ def build_P_sdc(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
 def stability_function(dt_kappa: float, dt_mu: float, rule: QuadratureRule,
                        K: int | None, kind: ScanKind = ScanKind.SDC_STABILITY) -> np.ndarray:
     """The one-cell matrix at dt = 1 whose spectral radius :func:`scan_domain` maps:
-    the 2x2 one-step matrix for the stability kinds, RKN4 and collocation, the
-    M x M sweep matrix A[1:, 1:] on the interior node forces for the convergence
-    kinds.  Only the stability kinds read K."""
+    the 2x2 one-step matrix for the stability kinds, the M x M sweep matrix
+    A[1:, 1:] on the interior node forces for the convergence kinds.  Only the
+    stability kinds read K."""
     return _cell(partial(_matrix, kind, rule, K), dt_kappa, dt_mu)
 
 

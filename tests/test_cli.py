@@ -3,14 +3,15 @@ import os
 import numpy as np
 import pytest
 
+from conftest import read_csv
 from vvsdc import (GuessStrategy, NodeFamily, SweeperConfig, build_rule, integrate,
                    make_oscillator)
 from vvsdc.cli import COMMANDS, main
-from vvsdc.harness import read_csv
 
 TINY = ("[problem]\nkind = oscillator\n"
         "[run]\ndt_list = 0.1 0.05 0.025 0.0125\nt_end = 0.5\nn_steps = 200\n"
         "kappa_max = 2\nmu_max = 2\nkappa_cells = 3\nmu_cells = 3\n")
+STIFF = "[problem]\nkind = oscillator\nkappa = 1e12\n"
 
 
 def _run(tmp_path, command, ini, *flags):
@@ -265,6 +266,20 @@ def test_repeated_run_values_exit_2(tmp_path, capsys, command, ini, flags, key):
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} = ") and err.endswith("needs distinct values\n")
+
+
+@pytest.mark.parametrize("command, ini, flags", [
+    ("local-order", "", ("--dt", "4", "2", "1", "0.5")),
+    ("integrate", STIFF, ()),
+    ("local-order", STIFF, ()),
+], ids=["local-order-dt", "integrate-stiff", "local-order-stiff"])
+def test_divergence_exits_3(tmp_path, capsys, command, ini, flags):
+    # a run whose SDC iterate diverges ends in one error line, not a traceback
+    code, _ = _run(tmp_path, command, ini, *flags)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_repeated_start_components_are_accepted(tmp_path):

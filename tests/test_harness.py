@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_csv
 from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
                    NodeFamily, SecondOrderIVP, SolverError, SweeperConfig, build_rule,
                    exact_solution, integrate, make_oscillator, picard_iterate,
@@ -16,7 +17,7 @@ from vvsdc.baselines import integrate_rkn4
 from vvsdc.cli import _order
 from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear, _processes,
                            _rkn4_stepper, _step_map, fit_slope, load_config,
-                           read_csv, run_global_order, run_hamiltonian_drift,
+                           run_global_order, run_hamiltonian_drift,
                            run_local_order, run_work_precision, write_csv)
 from vvsdc.sdc import march
 
@@ -348,6 +349,17 @@ class TestHamiltonianDrift:
         for series in run_hamiltonian_drift(cfg, M_list=(3,)):
             assert len(series.steps) == 3
             assert 0.0 < series.trend_stderr < math.inf
+
+    def test_no_K_is_conservative(self):
+        # the numbers run_hamiltonian_drift's docstring gives: at M = 3 the
+        # one-step map's |lambda| - 1 changes sign with every sweep
+        cfg = ExperimentConfig(problem="oscillator")
+        for K, growth in ((2, -3.35e-8), (3, 2.18e-10), (4, -1.42e-12)):
+            sw = SweeperConfig(rule=build_rule(cfg.family, 3), K=K,
+                               initial_guess=GuessStrategy.VERLET_SWEEP)
+            problem = cfg.make_problem()
+            S = _step_map(problem, harness._sdc_stepper(problem, sw), cfg.hamiltonian_dt)[0]
+            assert np.abs(np.linalg.eigvals(S)).max() - 1.0 == pytest.approx(growth, rel=5e-3)
 
     def test_fast_path_matches_direct_stepping(self):
         cfg = ExperimentConfig(problem="oscillator", kappa=1.0, mu=0.0,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
                    SweeperConfig, build_preconditioner, build_rule, integrate,
-                   make_oscillator, make_penning, verlet_solve)
+                   make_oscillator, make_penning, sdc_step, verlet_solve)
 from vvsdc import sdc as sdc_module
 from vvsdc.baselines import verlet_step
 from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_factors, _node_solver
@@ -196,6 +196,18 @@ def test_nonlinear_velocity_solve_and_failure():
     with pytest.raises(SolverError) as info:
         verlet_solve(stiff, rhs_x, rhs_v, 0.3, pre, stiff.f_nodes(rhs_x, rhs_v))
     assert info.value.residual > 0
+
+
+def test_non_finite_iterate_fails_at_once():
+    # sqrt(x - 2) is NaN at x = 1, and NaN never meets the stop test: the
+    # solve of node 1 fails at its first update rather than after _FP_MAXITER
+    problem = SecondOrderIVP(d=1, force=lambda x, v: np.sqrt(x - 2.0) * v,
+                             velocity_dependent=np.array([True]))
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=3)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="at node 1") as info:
+        sdc_step(problem, (np.array([1.0]), np.array([1.0])), 0.1, cfg)
+    assert info.value.node == 1 and np.isnan(info.value.residual)
+    assert problem.f_evals <= 2
 
 
 def _field(x):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import read_csv
 from vvsdc import stability
 from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
                    NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_sdc,
@@ -12,8 +13,7 @@ from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
                    stability_function, stability_limit, update_step)
 from vvsdc.cli import _scan
 from vvsdc.collocation import solve_collocation_linear
-from vvsdc.harness import (ExperimentConfig, _rkn4_stepper, _sdc_stepper, _step_map,
-                           read_csv, write_csv)
+from vvsdc.harness import ExperimentConfig, _sdc_stepper, _step_map, write_csv
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 
@@ -47,26 +47,21 @@ def _dense(kind, rule, dt_kappa, dt_mu):
         pre = build_preconditioner(rule)
         Qpre = np.block([[pre.Qx, O], [O, pre.QT]])
     else:
-        Qpre = Qcoll if kind is ScanKind.COLLOCATION else 0 * Qcoll
+        Qpre = 0 * Qcoll
     Minv = np.linalg.inv(np.eye(2 * Mp1) - Qpre @ F)
     return Minv @ (Qcoll - Qpre) @ F, Minv @ np.block([[eye, rule.Q], [O, eye]]), F
 
 
 def _dense_propagator(kind, rule, K, dt_kappa, dt_mu):
-    """Dense map from U_0 to U^K (to the collocation solution for COLLOCATION),
-    in the closed form K^K + (I - K^K) (I - K)^(-1) M^(-1) C_coll."""
+    """Dense map from U_0 to U^K, in the closed form
+    K^K + (I - K^K) (I - K)^(-1) M^(-1) C_coll."""
     Kmat, Minv_C, _ = _dense(kind, rule, dt_kappa, dt_mu)
-    if kind is ScanKind.COLLOCATION:
-        return Minv_C
     eye, Kpow = np.eye(len(Kmat)), np.linalg.matrix_power(Kmat, K)
     return Kpow + (eye - Kpow) @ np.linalg.solve(eye - Kmat, Minv_C)
 
 
 def _dense_matrix(kind, rule, K, dt_kappa, dt_mu):
     """Dense counterpart of what a scan of ``kind`` takes the spectral radius of."""
-    if kind is ScanKind.RKN4:
-        A = np.array([[0.0, 1.0], [-dt_kappa, -dt_mu]])
-        return sum(np.linalg.matrix_power(A, i) / math.factorial(i) for i in range(5))
     if kind in (ScanKind.SDC_CONVERGENCE, ScanKind.PICARD_CONVERGENCE):
         return _dense(kind, rule, dt_kappa, dt_mu)[0]
     F, zero = _dense(kind, rule, dt_kappa, dt_mu)[2], np.zeros_like(rule.q)
@@ -129,16 +124,28 @@ class TestIterationMatrices:
                 P = _dense_propagator(ScanKind.SDC_STABILITY, rule, sweeps, dt_kappa, dt_mu)
                 assert _rel(build_P_sdc(dt_kappa, dt_mu, rule, sweeps), P) < 1e-13
 
-    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
-    def test_scan_matches_dense_spectra(self, kind, M):
-        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+    @staticmethod
+    def _check_scan_against_dense(kind, rule):
         grid = GridSpec(kappa_min=0.3, kappa_max=4.0, mu_max=2.0, kappa_cells=4, mu_cells=3)
         res = scan_domain(kind, rule, 3, grid)
         for i, ka in enumerate(res.kappa):
             for j, m in enumerate(res.mu):
                 rho = spectral_radius(_dense_matrix(kind, rule, 3, ka, m))
                 assert abs(res.rho[i, j] - rho) <= 1e-12 * max(1.0, rho)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    def test_scan_matches_dense_spectra(self, kind, M):
+        self._check_scan_against_dense(kind, build_rule(NodeFamily.GAUSS_LEGENDRE, M))
+
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("family", [NodeFamily.GAUSS_RADAU, NodeFamily.GAUSS_LOBATTO],
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    def test_scan_matches_dense_spectra_with_endpoint_nodes(self, kind, family, M):
+        # a node at tau = 1 (and, for Lobatto, at tau = 0) gives the Verlet
+        # preconditioner other rows than Legendre's interior nodes do
+        self._check_scan_against_dense(kind, build_rule(family, M))
 
 
 class TestPropagator:
@@ -226,13 +233,6 @@ class TestStabilityFunction:
             R = stability_function(kappa, mu, RULE3, K, kind=ScanKind.PICARD_STABILITY)
             assert R == pytest.approx(S, abs=1e-12)
 
-    def test_rkn4_matches_empirical(self):
-        for kappa, mu in ((1.7, 0.6), (0.3, 0.0), (6.0, 2.5)):
-            problem = make_oscillator(kappa, mu)
-            S = _step_map(problem, _rkn4_stepper(problem), 1.0)[0]
-            R = stability_function(kappa, mu, RULE3, None, kind=ScanKind.RKN4)
-            assert R == pytest.approx(S, abs=1e-12)
-
     @pytest.mark.parametrize("kind", [ScanKind.SDC_STABILITY, ScanKind.PICARD_STABILITY])
     @pytest.mark.parametrize("K", [None, -1, 2.0])
     def test_stability_kinds_need_a_sweep_count(self, kind, K):
@@ -287,10 +287,10 @@ class TestScansAndLimits:
         (GridSpec(kappa_cells=23, mu_cells=13), ()),
         # the rows at dt*kappa = 5e299 and 1e300 overflow from cell 100 of the first stack
         (GridSpec(kappa_max=1e300, mu_max=2.0, kappa_cells=3, mu_cells=100),
-         ("sdc-stability", "sdc-convergence", "picard-stability", "rkn4")),
+         ("sdc-stability", "sdc-convergence", "picard-stability")),
         # every other cell (dt*mu = 1e300) overflows, all through the first stack
         (GridSpec(kappa_max=2.0, mu_max=1e300, kappa_cells=150, mu_cells=2),
-         ("picard-stability", "rkn4")),
+         ("picard-stability",)),
     ], ids=["finite", "kappa-overflow", "mu-overflow"])
     def test_stacked_scan_equals_row_by_row(self, grid, overflowing, kind, M):
         rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
@@ -348,17 +348,6 @@ class TestScansAndLimits:
         with np.errstate(all="ignore"), pytest.raises(AnalysisError, match="not finite"):
             stability_function(0.0, -1.0 / q, rule, 3, kind)
 
-    def test_singular_collocation_cell_is_a_failure(self):
-        # I + dt*kappa QQ + dt*mu Q is exactly singular at (0, -2) for one
-        # Legendre node (Q[1, 1] = 1/2); LU names no cell, yet only that one fails
-        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 1)
-        grid = GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-2.0, mu_max=0.0, mu_cells=3)
-        res = scan_domain(ScanKind.COLLOCATION, rule, None, grid)
-        assert res.failures == [(0.0, -2.0)]
-        assert np.isfinite(res.rho).sum() == 5
-        with pytest.raises(AnalysisError, match="not finite"):
-            stability_function(0.0, -2.0, rule, None, ScanKind.COLLOCATION)
-
     def test_scan_csv_roundtrip(self, tmp_path):
         # one row per cell, kappa-major, read back exactly; a NaN cell is unstable
         grid = GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=3, mu_cells=2)
@@ -379,7 +368,7 @@ class TestScansAndLimits:
         assert "1\n" in path.read_text() and ",nan,0\n" in path.read_text()
 
     def test_failed_cells_raise_no_warning(self):
-        # the non-finite and singular grids of the tests above: their failed
+        # the non-finite and zero-pivot grids of the tests above: their failed
         # cells read NaN and are listed in failures, and are not warned about
         pivots = []   # (rule, grid with a zero Verlet pivot)
         for family, M in [(NodeFamily.GAUSS_LEGENDRE, 1), (NodeFamily.GAUSS_RADAU, 1),
@@ -391,10 +380,7 @@ class TestScansAndLimits:
         overflows = [GridSpec(kappa_max=1e300, mu_max=2.0, kappa_cells=3, mu_cells=100),
                      GridSpec(kappa_max=2.0, mu_max=1e300, kappa_cells=150, mu_cells=2)]
         cases = [(ScanKind.SDC_STABILITY, RULE3, 50,
-                  GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3)),
-                 (ScanKind.COLLOCATION, build_rule(NodeFamily.GAUSS_LEGENDRE, 1), None,
-                  GridSpec(kappa_max=1.0, kappa_cells=2, mu_min=-2.0, mu_max=0.0,
-                           mu_cells=3))]
+                  GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3))]
         cases += [(kind, build_rule(NodeFamily.GAUSS_LEGENDRE, M), 3, grid)
                   for kind in ScanKind for M in (3, 5) for grid in overflows]
         cases += [(kind, rule, 3, grid) for rule, grid in pivots
@@ -420,15 +406,10 @@ class TestScansAndLimits:
                 with pytest.raises(AnalysisError, match="not finite"):
                     cell()
 
-    def test_rkn4_axis_limit(self):
-        # RK4 on the companion system loses |R| <= 1 at dt*kappa = 8
-        # (|lambda dt| = 2 sqrt(2) on the imaginary axis)
-        limit = stability_limit(ScanKind.RKN4, RULE3, 0)
-        assert limit == pytest.approx(8.0, abs=0.05)
-
     @pytest.mark.parametrize("kind, M, K", [(ScanKind.SDC_STABILITY, 5, 3),
+                                            (ScanKind.SDC_STABILITY, 3, 3),
                                             (ScanKind.PICARD_STABILITY, 2, 2),
-                                            (ScanKind.RKN4, 3, 0)])
+                                            (ScanKind.PICARD_STABILITY, 3, 3)])
     def test_limit_matches_cell_by_cell_ladder(self, kind, M, K):
         # reference: the coarse ladder and the bisection one public cell at a
         # time; these limits lie past the first stack of coarse rungs
