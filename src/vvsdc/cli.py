@@ -1,13 +1,15 @@
 """Command-line front end for the experiment harness.
 
 Every subcommand writes CSV tables, column by column with floats at full
-%.17g precision, into the output directory plus a summary.csv of them.  A run
-exits 0 with its tables, or with one ``error:`` line on stderr: 2 for a bad
-setting, 3 for a divergence or a failed node solve or stability cell.
+%.17g precision, into the output directory plus a summary.csv of them, which
+is removed as a run starts and written last.  A run exits 0 with its tables,
+or with one ``error:`` line on stderr: 2 for a bad setting, 3 for a
+divergence or a failed node solve or stability cell.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -162,14 +164,17 @@ def main(argv=None) -> int:
         _add_common(subs.add_parser(name), reads)
     args = parser.parse_args(argv)
     tables = COMMANDS[args.command][2]
+    summary = os.path.join(args.out, "summary.csv")
+    # summary.csv is written last, so it is there only if the last run exited 0
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary)
     try:
         entries = []
         for experiment, file_name, header, columns in tables(_build_config(args)):
             path = os.path.join(args.out, file_name)
             write_csv(path, header, columns)
             entries.append((experiment, path))
-        write_csv(os.path.join(args.out, "summary.csv"), ["experiment", "file"],
-                  zip(*entries))
+        write_csv(summary, ["experiment", "file"], zip(*entries))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SolverError
 from .problems import SecondOrderIVP
@@ -55,8 +54,9 @@ def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
 
 @lru_cache(maxsize=256)
 def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
-    """``(c, lu, piv)`` for nodes 1, 2, ...: the LU factor by LAPACK ``getrf``
-    of ``I - c*A_v``, ``c = dt*w`` for each node weight ``w`` of ``weights``.
+    """``(c, getrs)`` for nodes 1, 2, ...: ``getrs(rhs)`` solves with the LU
+    factor by LAPACK ``getrf`` of ``I - c*A_v``, ``c = dt*w`` for each node
+    weight ``w`` of ``weights``, and returns LAPACK ``getrs``'s tuple.
 
     ``A_v`` and the weights arrive as the bytes of their float values, so
     the cache keys on values: two problems with equal ``A_v`` share the
@@ -65,6 +65,9 @@ def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
     (``gesv``), so a factored solve rounds exactly as that call would.  A
     singular node matrix is a ``SolverError`` naming the node and ``dt``.
     """
+    # scipy.linalg is imported by the first factorisation, not with the
+    # package: it is most of the import time, and only linear forces need it
+    from scipy.linalg.lapack import dgetrf, dgetrs
     A_v = np.frombuffer(a_v).reshape(d, d)
     factors = []
     for node, w in enumerate(np.frombuffer(weights).tolist(), 1):
@@ -73,7 +76,7 @@ def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
         if info > 0:
             raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
                               f" (c = {c!r})", node=node)
-        factors.append((c, lu, piv))
+        factors.append((c, partial(dgetrs, lu, piv)))
     return tuple(factors)
 
 
@@ -98,8 +101,8 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
                                 weights.tobytes())
 
         def linear(m, x, b, f_start):
-            c, lu, piv = factors[m - 1]
-            v = dgetrs(lu, piv, b + c * (A_x @ x))[0]
+            c, getrs = factors[m - 1]
+            v = getrs(b + c * (A_x @ x))[0]
             return v, problem.f(x, v)
         return linear
     c_nodes = (dt * weights).tolist()

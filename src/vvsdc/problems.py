@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError
 
@@ -52,6 +51,9 @@ def _companion_exact(A_x: np.ndarray, A_v: np.ndarray) -> Callable:
     comp[d:, d:] = A_v
 
     def exact(t, x0, v0):
+        # scipy.linalg is imported on first use: it is most of the package's
+        # import time, and only exact solutions and linear node solves need it
+        from scipy.linalg import expm
         u = expm(t * comp) @ np.concatenate([np.atleast_1d(x0), np.atleast_1d(v0)])
         return u[:d], u[d:]
 

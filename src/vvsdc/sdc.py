@@ -117,12 +117,13 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     u0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, config.rule, problem.d)
     state, F = initial_guess(u0, problem, dt, config, ff=ff)
-    for _ in range(config.K):
+    for k in range(1, config.K + 1):
         state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F,
                              ff=ff)
         if not _within_guard(state.X, state.V):
             raise DivergenceError(
-                f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite")
+                f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite in"
+                f" sweep {k} of K = {config.K} at dt = {float(dt)!r}")
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,
                       f_evals=problem.f_evals - evals_before,
@@ -139,7 +140,8 @@ def march(step, u0, t0: float, t_end: float, dt: float):
     times[i] the end time of outs[i].  A ``dt`` that is not positive and
     finite, or a span within the end guard ``1e-12*max(1, |t_end|)``, would
     never end or take no step and is a ``ConfigurationError`` (a
-    ``ValueError``).
+    ``ValueError``).  A ``DivergenceError`` from ``step`` is raised again
+    with the time at which that step started added to its message.
     """
     if not 0.0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
@@ -152,7 +154,10 @@ def march(step, u0, t0: float, t_end: float, dt: float):
     times, outs = [], []
     while t < end:
         h = min(dt, t_end - t)
-        u, out = step(u, h)
+        try:
+            u, out = step(u, h)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} in the step from t = {float(t)!r}") from exc
         t += h
         times.append(t)
         outs.append(out)

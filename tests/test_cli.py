@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -268,18 +269,33 @@ def test_repeated_run_values_exit_2(tmp_path, capsys, command, ini, flags, key):
     assert err.startswith(f"error: {key} = ") and err.endswith("needs distinct values\n")
 
 
-@pytest.mark.parametrize("command, ini, flags", [
-    ("local-order", "", ("--dt", "4", "2", "1", "0.5")),
-    ("integrate", STIFF, ()),
-    ("local-order", STIFF, ()),
+@pytest.mark.parametrize("command, ini, flags, run", [
+    ("local-order", "", ("--dt", "4", "2", "1", "0.5"), r"K = 3 at dt = (4\.0|2\.0|1\.0|0\.5)"),
+    ("integrate", STIFF, (), r"K = 1 at dt = 0\.01 in the step from t = 0\.0"),
+    ("local-order", STIFF, (), r"K = 3 at dt = [0-9.e-]+"),
 ], ids=["local-order-dt", "integrate-stiff", "local-order-stiff"])
-def test_divergence_exits_3(tmp_path, capsys, command, ini, flags):
-    # a run whose SDC iterate diverges ends in one error line, not a traceback
+def test_divergence_exits_3(tmp_path, capsys, command, ini, flags, run):
+    # a run whose SDC iterate diverges ends in one error line, not a traceback,
+    # naming the sweep, K and dt and, in a march, the time the step started
     code, _ = _run(tmp_path, command, ini, *flags)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert re.fullmatch(r"error: SDC iterate exceeded 1e\+08 or is not finite in sweep \d+"
+                        rf" of {run}\n", err)
+
+
+@pytest.mark.parametrize("ini, exit_code", [(STIFF, 3), ("[run]\ndt_list = 0.1 0.1\n", 2)],
+                         ids=["divergence", "bad-setting"])
+def test_failed_run_leaves_no_summary(tmp_path, capsys, ini, exit_code):
+    # summary.csv is written last and removed as a run starts, so it is there
+    # only if the last run into the directory exited 0
+    code, out = _run(tmp_path, "integrate", TINY)
+    assert code == 0 and _listed(out) == {"integrate": "trajectory.csv"}
+    code, _ = _run(tmp_path, "integrate", ini)
+    assert code == exit_code
+    assert not (out / "summary.csv").exists()
 
 
 def test_repeated_start_components_are_accepted(tmp_path):

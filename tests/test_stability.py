@@ -7,10 +7,10 @@ import pytest
 from conftest import read_csv
 from vvsdc import stability
 from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
-                   NodeFamily, NodeState, ScanKind, SweeperConfig, build_K_sdc,
-                   build_P_sdc, build_preconditioner, build_rule, make_oscillator,
-                   picard_iterate, scan_domain, spectral_radius,
-                   stability_function, stability_limit, update_step)
+                   NodeFamily, NodeState, PenningParams, ScanKind, SweeperConfig,
+                   build_K_sdc, build_P_sdc, build_preconditioner, build_rule,
+                   make_oscillator, make_penning, picard_iterate, scan_domain,
+                   spectral_radius, stability_function, stability_limit, update_step)
 from vvsdc.cli import _scan
 from vvsdc.collocation import solve_collocation_linear
 from vvsdc.harness import ExperimentConfig, _sdc_stepper, _step_map, write_csv
@@ -232,6 +232,26 @@ class TestStabilityFunction:
             S = _step_map(problem, step, 1.0)[0]
             R = stability_function(kappa, mu, RULE3, K, kind=ScanKind.PICARD_STABILITY)
             assert R == pytest.approx(S, abs=1e-12)
+
+    @pytest.mark.parametrize("M, K", [(3, 3), (3, 2), (5, 3), (5, 4)])
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.2])
+    def test_penning_step_map_is_three_test_equations(self, M, K, dt):
+        # in z = x + iy the in-plane Penning motion is the test equation
+        # z'' = -kappa z - mu z' with kappa = eps*omega_E^2 and mu = i*omega_B,
+        # its conjugate has mu = -i*omega_B, and the axial motion has
+        # kappa = -2*eps*omega_E^2 and mu = 0: the six eigenvalues of the
+        # copy-start step map are those of the three cells' 2x2 matrices
+        p = PenningParams()
+        problem = make_penning(p)
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        cfg = SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.COPY_INITIAL)
+        probed = list(np.linalg.eigvals(_step_map(problem, _sdc_stepper(problem, cfg), dt)[0]))
+        kappa = p.epsilon * p.omega_e**2 * dt**2
+        cells = ((kappa, 1j * p.omega_b * dt), (kappa, -1j * p.omega_b * dt), (-2 * kappa, 0.0))
+        for lam in np.concatenate([np.linalg.eigvals(stability_function(k, m, rule, K))
+                                   for k, m in cells]):
+            nearest = probed.pop(int(np.argmin(np.abs(np.array(probed) - lam))))
+            assert abs(nearest - lam) <= 1e-13 * max(1.0, abs(lam))
 
     @pytest.mark.parametrize("kind", [ScanKind.SDC_STABILITY, ScanKind.PICARD_STABILITY])
     @pytest.mark.parametrize("K", [None, -1, 2.0])
