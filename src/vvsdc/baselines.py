@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collocation import DIVERGENCE_GUARD, _within_guard
-from .errors import DivergenceError
+from .collocation import _check_guard
 from .preconditioner import _node_solver
 from .problems import SecondOrderIVP
 from .sdc import march
@@ -60,9 +59,7 @@ def rkn4_step(problem: SecondOrderIVP, x, v, dt: float):
     k4x, k4v = v + dt * k3v, problem.f(x + dt * k3x, v + dt * k3v)
     x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if not _within_guard(x_new, v_new):
-        raise DivergenceError(
-            f"RK4 state exceeded {DIVERGENCE_GUARD:g} or is not finite")
+    _check_guard("RK4 state", x_new, v_new)
     return x_new, v_new
 
 

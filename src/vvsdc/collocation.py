@@ -1,4 +1,4 @@
-"""The collocation system: residual, direct solve, Picard iteration, update."""
+"""The collocation system: residual, direct solve, the sweep of SDC and Picard, update."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -7,7 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, SolverError
+from .errors import DivergenceError, SolverError, _check_sweeps
+from .preconditioner import PreconditionerMatrices, _picard_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
 
@@ -75,13 +76,12 @@ def _rows(w, n):
     return np.repeat(w[None, :], n, axis=0)
 
 
-def _within_guard(*arrays) -> bool:
-    """Whether every value of ``arrays``, all of one shape, is finite and at
-    most DIVERGENCE_GUARD in size: one reduction over all of them.
-
-    NaN compares false, so a NaN iterate is outside the guard too.
-    """
-    return bool(np.abs(arrays).max() <= DIVERGENCE_GUARD)
+def _check_guard(what: str, X, V, k=None, K=None, dt=None) -> None:
+    """A DivergenceError unless X and V, of one shape, are finite and at most DIVERGENCE_GUARD
+    in size (one reduction, which NaN fails); a sweep's message names ``k`` of ``K`` and ``dt``."""
+    if not np.abs((X, V)).max() <= DIVERGENCE_GUARD:
+        where = "" if k is None else f" in sweep {k} of K = {K} at dt = {float(dt)!r}"
+        raise DivergenceError(f"{what} exceeded {DIVERGENCE_GUARD:g} or is not finite{where}")
 
 
 def free_flight(u0, dt: float, rule: QuadratureRule, d: int) -> NodeState:
@@ -127,28 +127,34 @@ def solve_collocation_linear(problem: SecondOrderIVP, u0, dt: float,
     return NodeState(sol[:n].reshape(Mp1, d), sol[n:].reshape(Mp1, d))
 
 
+def _sweep(problem: SecondOrderIVP, ff: NodeState, dt: float,
+           pre: PreconditionerMatrices, forces):
+    """One sweep, (I - dt Q_pre F) U^{k+1} = dt (Q_coll - Q_pre) F(U^k) + C_coll U_0 node by
+    node, from ``ff`` = C_coll U_0 and ``forces`` = F(U^k); returns U^{k+1} and its forces."""
+    X, V, F = verlet_solve(problem, ff.X + dt * dt * (pre.QQ_Qx @ forces),
+                           ff.V + dt * (pre.Q_QT @ forces), dt, pre, forces=forces)
+    return NodeState(X, V), F
+
+
 def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
                    K: int, initial: NodeState | None = None):
     """Unpreconditioned Richardson iteration on the collocation system.
 
     Iterates U^{k+1} = C_coll U_0 + dt Q_coll F(U^k) K times, from
-    ``initial`` or else from the free-flight nodes.  Returns the final state,
-    the trace of infinity-norm updates, and the final force values.
+    ``initial`` or else from the free-flight nodes: K sweeps with Picard's
+    zero preconditioner.  Returns the final state, the trace of
+    infinity-norm updates, and the final force values.
     """
+    _check_sweeps(K)
     ff = free_flight(u0, dt, rule, problem.d)
+    pre = _picard_preconditioner(rule)
     state = ff.copy() if initial is None else initial.copy()
     F = problem.f_nodes(state.X, state.V)
     trace = []
-    for k in range(K):
-        X_new = ff.X + dt * dt * (rule.QQ @ F)
-        V_new = ff.V + dt * (rule.Q @ F)
-        delta = max(np.max(np.abs(X_new - state.X)), np.max(np.abs(V_new - state.V)))
-        trace.append(delta)
-        state = NodeState(X_new, V_new)
-        if not _within_guard(state.X, state.V):
-            raise DivergenceError(
-                f"Picard iterate exceeded {DIVERGENCE_GUARD:g} or is not finite at k={k}")
-        F = np.vstack([F[:1], problem.f_nodes(state.X[1:], state.V[1:])])
+    for k in range(1, K + 1):
+        (state, F), prev = _sweep(problem, ff, dt, pre, F), state
+        trace.append(max(np.max(np.abs(state.X - prev.X)), np.max(np.abs(state.V - prev.V))))
+        _check_guard("Picard iterate", state.X, state.V, k, K, dt)
     return state, trace, F
 
 

@@ -321,9 +321,13 @@ def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
 
 def run_local_order(config: ExperimentConfig) -> OrderReport:
     """Single-step absolute errors per component, one row per dt."""
+    # taken here, before _map forks, so that scipy.linalg is imported once
+    exact = {dt: exact_solution(config.make_problem(), dt, *config.initial_value())
+             for dt in np.asarray(config.dt_list, float)}
+
     def errors_at(problem, u0, dt, sw):
         res = sdc_step(problem, u0, dt, sw)
-        xe, ve = exact_solution(problem, dt, *u0)
+        xe, ve = exact[dt]
         return np.abs(res.x_end - xe), np.abs(res.v_end - ve)
     return _order_study(config, errors_at, _predicted_local)
 
@@ -403,7 +407,7 @@ def _march_linear(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
             maps[h] = _step_map(problem, step, h)
         S, c, evals = maps[h]
         u = S @ u + c
-        # the test of collocation._within_guard, inlined: it runs every step
+        # the test of collocation._check_guard, inlined: it runs every step
         if not np.abs(u).max() <= DIVERGENCE_GUARD:
             raise DivergenceError
         return u, (u, evals)
@@ -538,7 +542,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     map on (x, v); the long run iterates the one-step matrix probed from the
     actual stepper (:func:`_step_map`; its offset is zero, as these steps are
     linear), which is exact for this problem and keeps the default 1e5-step
-    run fast.  The series are shared out by :func:`_map`.
+    run fast.  The maps are probed here and the series shared out by :func:`_map`.
 
     The starting iterate is a velocity-Verlet sweep, so the step at K is the
     copy start's at K + 1, to the bit.  No K is conservative: the one-step
@@ -556,20 +560,20 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
 
-    def drift(sw):
+    def probe(sw):
         problem = config.make_problem()
         if sw is None:
             step, label = _rkn4_stepper(problem), "rkn4"
         else:
             step, label = _sdc_stepper(problem, sw), f"sdc_M{sw.rule.M}_K{sw.K}"
-        S = _step_map(problem, step, dt)[0]
-        return _drift_from_matrix(S, u0, config.n_steps, label)
+        return _step_map(problem, step, dt)[0], label
 
     rules = [build_rule(config.family, M) for M in M_list]
     items = [SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
              for rule in rules for K in config.K_list] + [None]   # None: RKN-4
-    # each series is one n_steps loop, which outweighs its probe
-    return _map(drift, items, cost=lambda sw: 1.0)
+    # probing before the fork imports LAPACK once; the n_steps loops are shared out
+    return _map(lambda probed: _drift_from_matrix(probed[0], u0, config.n_steps, probed[1]),
+                [probe(sw) for sw in items], cost=lambda probed: 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
     return matrices
 
 
+def _picard_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
+    """Picard's Q_pre = 0: QT = Qx = 0, so the correction blocks are QQ and Q."""
+    zero = np.zeros_like(rule.Q)
+    return PreconditionerMatrices(QT=zero, Qx=zero, QQ_Qx=rule.QQ, Q_QT=rule.Q)
+
+
 @lru_cache(maxsize=256)
 def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
     """``(c, getrs)`` for nodes 1, 2, ...: ``getrs(rhs)`` solves with the LU
@@ -84,17 +90,20 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     """The solve of v = b + c * f(x, v), c = dt * weights[m - 1], at node m.
 
     Returns ``solve(m, x, b, f_start) -> (v, f(x, v))``, chosen once for
-    the problem's force.  Linear forces solve ``(I - c A_v) v = b + c A_x x``
-    with the factors of :func:`_node_factors`, fetched here for all nodes
-    in one cached lookup.  Velocity-independent forces are solved directly.
-    Any other force takes a fixed-point loop that starts at
-    v = b + c * f_start and stops at the first iterate whose residual
+    the problem's force.  Zero weights (Picard's) give v = b and one force
+    evaluation, with no factor and no loop.  Linear forces solve
+    ``(I - c A_v) v = b + c A_x x`` with the factors of :func:`_node_factors`,
+    fetched here for all nodes in one cached lookup.  Velocity-independent
+    forces are solved directly.  Any other force takes a fixed-point loop that
+    starts at v = b + c * f_start and stops at the first iterate whose residual
     |b + c * f(x, v) - v| is at most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|;
     that iterate is returned with the force already evaluated at it.  A loop
     that meets a residual that is not finite, or runs _FP_MAXITER iterations,
     raises a ``SolverError`` that names the node and carries that residual.
     """
     weights = np.asarray(weights, float)
+    if not weights.any():
+        return lambda m, x, b, f_start: (b, problem.f(x, b))
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
         factors = _node_factors(np.asarray(A_v, float).tobytes(), problem.d, dt,
@@ -132,7 +141,7 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
                  dt: float, matrices: PreconditionerMatrices, forces):
-    """Solve M_vv(U) = rhs by one velocity-Verlet pass through the nodes.
+    """Solve M_pre(U) = rhs by one pass through the nodes, velocity-Verlet's or Picard's.
 
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
     ``forces``, the (M+1, d) node forces of the previous iterate, fixes the

@@ -9,10 +9,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .collocation import (DIVERGENCE_GUARD, NodeState, StepResult, _as_u0,
-                          _rows, _within_guard, collocation_residual,
-                          free_flight, update_step)
+from .collocation import (NodeState, StepResult, _as_u0, _check_guard, _rows,
+                          _sweep, collocation_residual, free_flight, update_step)
 from .errors import ConfigurationError, DivergenceError, _check_sweeps
+# verlet_solve is re-exported: perfbench's tracer test reads vvsdc.sdc.verlet_solve
 from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
@@ -90,20 +90,15 @@ def initial_guess(u0, problem: SecondOrderIVP, dt: float,
 def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
               config: SweeperConfig, prev_forces=None,
               ff: NodeState | None = None):
-    """One correction sweep: velocity-Verlet pass with quadrature corrections.
-
-    Solves (I - dt Q_vv F) U^{k+1} = dt (Q_coll - Q_vv) F(U^k) + C_coll U_0
-    node by node.  ``ff``, the step's :func:`free_flight` nodes C_coll U_0,
-    is built here when not given.  Returns the new state and its node forces.
+    """One correction sweep with Q_pre = Q_vv: a velocity-Verlet pass with
+    quadrature corrections (see ``collocation._sweep``).  ``ff``, the step's
+    :func:`free_flight` nodes C_coll U_0, is built here when not given.
+    Returns the new state and its node forces.
     """
-    rule, pre = config.rule, config.matrices
     Fk = problem.f_nodes(prev.X, prev.V) if prev_forces is None else prev_forces
     if ff is None:
-        ff = free_flight(u0, dt, rule, problem.d)
-    rhs_x = ff.X + dt * dt * (pre.QQ_Qx @ Fk)
-    rhs_v = ff.V + dt * (pre.Q_QT @ Fk)
-    X, V, F = verlet_solve(problem, rhs_x, rhs_v, dt, pre, forces=Fk)
-    return NodeState(X, V), F
+        ff = free_flight(u0, dt, config.rule, problem.d)
+    return _sweep(problem, ff, dt, config.matrices, Fk)
 
 
 def sdc_step(problem: SecondOrderIVP, u0, dt: float,
@@ -118,12 +113,8 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     ff = free_flight(u0, dt, config.rule, problem.d)
     state, F = initial_guess(u0, problem, dt, config, ff=ff)
     for k in range(1, config.K + 1):
-        state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F,
-                             ff=ff)
-        if not _within_guard(state.X, state.V):
-            raise DivergenceError(
-                f"SDC iterate exceeded {DIVERGENCE_GUARD:g} or is not finite in"
-                f" sweep {k} of K = {config.K} at dt = {float(dt)!r}")
+        state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F, ff=ff)
+        _check_guard("SDC iterate", state.X, state.V, k, config.K, dt)
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,
                       f_evals=problem.f_evals - evals_before,

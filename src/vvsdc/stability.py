@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import AnalysisError, ConfigurationError, _check_sweeps
-from .preconditioner import build_preconditioner
+from .preconditioner import _picard_preconditioner, build_preconditioner
 from .quadrature import QuadratureRule
 
 
@@ -84,15 +84,6 @@ class ScanResult:
         return self.rho <= 1.0 + _STABLE_TOL
 
 
-def _parts(rule: QuadratureRule, kind: ScanKind):
-    """((Wx, Wv), (Dx, Dv)): the position and velocity rows of W = Q_pre E and
-    D = (Q_coll - Q_pre) E; Q_pre is velocity-Verlet for SDC, zero for Picard."""
-    if kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE):
-        pre = build_preconditioner(rule)
-        return (pre.Qx, pre.QT), (pre.QQ_Qx, pre.Q_QT)
-    return (np.zeros_like(rule.Q),) * 2, (rule.QQ, rule.Q)
-
-
 def _forward(L, R):
     """Stacked L X = R for lower-triangular L, row by row; a zero pivot gives inf or NaN."""
     X = np.empty_like(R)
@@ -111,7 +102,9 @@ def _sweeps(A, y, B, K):
 
 def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     """Stack of what ``kind`` measures: M x M iteration or 2x2 step matrices."""
-    (Wx, Wv), (Dx, Dv) = _parts(rule, kind)
+    sdc = kind in (ScanKind.SDC_STABILITY, ScanKind.SDC_CONVERGENCE)
+    # Q_pre: W = (Qx; QT) E and D = (QQ_Qx; Q_QT) E, as position and velocity rows
+    pre = (build_preconditioner if sdc else _picard_preconditioner)(rule)
     k, m = kappa[:, None, None], mu[:, None, None]
     # y is carried as y / s, s = 2^n <= max(1, |kappa|, |mu|): exact, finite where y overflows
     s = np.ldexp(1.0, np.frexp(np.maximum(1.0, np.maximum(abs(kappa), abs(mu))))[1] - 1)
@@ -119,9 +112,9 @@ def _matrix(kind, rule, K, kappa, mu) -> np.ndarray:
     ones = np.ones_like(rule.tau)
     y = np.stack([gk * ones, gm * ones], axis=-1)                  # G U_0 of the copy start
     GC = np.stack([gk * ones, gk * rule.tau + gm * ones], axis=-1)  # G C_coll U_0: free flight
-    AB = np.concatenate([-k * Dx - m * Dv, GC], axis=-1)
-    if Wx.any() or Wv.any():   # Picard's I - G W is I
-        AB = _forward(np.eye(len(ones)) + k * Wx + m * Wv, AB)
+    AB = np.concatenate([-k * pre.QQ_Qx - m * pre.Q_QT, GC], axis=-1)
+    if sdc:   # Picard's I - G W is I
+        AB = _forward(np.eye(len(ones)) + k * pre.Qx + m * pre.QT, AB)
     # contiguous A and B: matmul on a strided view runs about twice as slow
     A, B = map(np.ascontiguousarray, np.split(AB, [len(ones)], axis=-1))
     if kind in _CONVERGENCE_KINDS:   # A's node-0 row is zero
@@ -176,12 +169,12 @@ def spectral_radius(matrix: np.ndarray) -> float:
 def _full(rule: QuadratureRule, kappa: np.ndarray, mu: np.ndarray):
     """Stacks of SDC's full-size (D + W A) G = (I - Q_vv F)^(-1) (Q_coll - Q_vv) F
     and M_vv^(-1) C_coll = C_coll + W (I - G W)^(-1) G C_coll."""
-    Wxv, Dxv = _parts(rule, ScanKind.SDC_STABILITY)
-    W, D, eye = np.vstack(Wxv), np.vstack(Dxv), np.eye(rule.M + 1)
+    pre = build_preconditioner(rule)
+    W, D, eye = np.vstack([pre.Qx, pre.QT]), np.vstack([pre.QQ_Qx, pre.Q_QT]), np.eye(rule.M + 1)
     k, m = kappa[:, None, None], mu[:, None, None]
     G = np.concatenate([-k * eye, -m * eye], axis=-1)
     C = np.block([[eye, rule.Q], [0 * eye, eye]])
-    A, X = np.split(_forward(eye + k * Wxv[0] + m * Wxv[1], G @ np.hstack([D, C])),
+    A, X = np.split(_forward(eye + k * pre.Qx + m * pre.QT, G @ np.hstack([D, C])),
                     [len(eye)], axis=-1)
     return (D + W @ A) @ G, C + W @ X
 

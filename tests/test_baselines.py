@@ -111,7 +111,8 @@ class TestRkn4:
         # the same guard as the SDC and Picard iterates: past 1e8 or not finite
         problem = make_oscillator(0.0, 0.0)
         assert rkn4_step(problem, [9e7], [0.0], 0.1)[0] == pytest.approx([9e7])
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match=r"^RK4 state exceeded 1e\+08 or is not finite$"):
             rkn4_step(problem, [x0], [0.0], 0.1)
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
             rkn4_step(problem, [0.0], [x0], 0.1)

@@ -107,14 +107,89 @@ def test_picard_divergence_guard():
         picard_iterate(problem, u0, 1.0, RULE3, K=300)
 
 
+def test_picard_divergence_names_sweep_K_and_dt():
+    # the form of sdc_step's message; sweeps count from 1, as there
+    problem = make_oscillator(30.0, 0.0)
+    u0 = (np.array([1.0]), np.array([0.0]))
+    with pytest.raises(DivergenceError, match=r"^Picard iterate exceeded 1e\+08 or is not"
+                       r" finite in sweep 47 of K = 300 at dt = 1\.0$"):
+        picard_iterate(problem, u0, 1.0, RULE3, K=300)
+
+
+def test_picard_overflowing_force_is_divergence():
+    # a zero node weight runs no fixed-point loop, so nothing fails to
+    # converge: the overflow reaches the guard
+    problem = SecondOrderIVP(d=1, force=lambda x, v: 1e200 * v ** 3,
+                             velocity_dependent=np.ones(1, dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="^Picard iterate .* in sweep 1 of K = 3 at dt = 0.5$"):
+        picard_iterate(problem, (np.array([0.0]), np.array([1.0])), 0.5, RULE3, K=3)
+
+
+def _richardson(problem, u0, dt, rule, K, initial):
+    """U^{k+1} = C_coll U_0 + dt Q_coll F(U^k), K times, written out whole:
+    the reference Picard iteration, with its trace and final forces."""
+    ff = free_flight(u0, dt, rule, problem.d)
+    state = ff if initial is None else initial
+    F = problem.f_nodes(state.X, state.V)
+    trace = []
+    for _ in range(K):
+        X = ff.X + dt * dt * (rule.QQ @ F)
+        V = ff.V + dt * (rule.Q @ F)
+        trace.append(max(np.max(np.abs(X - state.X)), np.max(np.abs(V - state.V))))
+        state = NodeState(X, V)
+        F = np.vstack([F[:1], problem.f_nodes(X[1:], V[1:])])
+    return state, trace, F
+
+
+def _pendulum():
+    """A velocity-independent nonlinear force, x'' = -sin x."""
+    return SecondOrderIVP(d=1, force=lambda x, v: -np.sin(x),
+                          velocity_dependent=np.zeros(1, dtype=bool))
+
+
+def _mirror_like():
+    """A velocity-dependent nonlinear force, v x B(x)."""
+    def force(x, v):
+        return np.cross(v, np.array([-0.1 * x[0] * x[2], -0.1 * x[1] * x[2],
+                                     2.0 + 0.1 * x[2] * x[2]]))
+    return SecondOrderIVP(d=3, force=force, velocity_dependent=np.ones(3, dtype=bool))
+
+
+# one problem for each node-solve path of a sweep: LU, direct and fixed point
+@pytest.mark.parametrize("make, u0", [
+    (make_penning, (np.array([10.0, 0.0, 0.0]), np.array([100.0, 0.0, 100.0]))),
+    (_pendulum, (np.array([1.2]), np.array([-0.7]))),
+    (_mirror_like, (np.array([1.0, 2.0, -1.0]), np.array([3.0, -2.0, 5.0]))),
+], ids=["penning", "pendulum", "mirror"])
+@pytest.mark.parametrize("M", [2, 3, 5])
+@pytest.mark.parametrize("start", ["free-flight", "copy"])
+def test_picard_is_the_richardson_recursion_bit_for_bit(make, u0, M, start):
+    rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+    initial = None if start == "free-flight" else NodeState(
+        np.tile(u0[0], (M + 1, 1)), np.tile(u0[1], (M + 1, 1)))
+    K = 4
+    for dt in (0.01, 0.05):
+        problem, reference = make(), make()
+        got = picard_iterate(problem, u0, dt, rule, K=K, initial=initial)
+        want = _richardson(reference, u0, dt, rule, K, initial)
+        assert problem.f_evals == reference.f_evals == (M + 1) + K * M
+        assert np.array_equal(got[0].X, want[0].X) and np.array_equal(got[0].V, want[0].V)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e8, -1.0000001e8])
 def test_within_guard(bad):
-    from vvsdc.collocation import DIVERGENCE_GUARD, _within_guard
+    from vvsdc.collocation import DIVERGENCE_GUARD, _check_guard
     X, V = np.full((4, 3), -DIVERGENCE_GUARD), np.full((4, 3), DIVERGENCE_GUARD)
-    assert _within_guard(X, V) and _within_guard(X[0], V[0])
+    _check_guard("state", X, V)
+    _check_guard("state", X[0], V[0])
     for a in (X, V):
         a[2, 1], kept = bad, a[2, 1]
-        assert not _within_guard(X, V)
+        with pytest.raises(DivergenceError, match=r"^state exceeded 1e\+08 or is not finite$"):
+            _check_guard("state", X, V)
+        with pytest.raises(DivergenceError, match=" in sweep 2 of K = 3 at dt = 0.5$"):
+            _check_guard("SDC iterate", X, V, 2, 3, np.float64(0.5))
         a[2, 1] = kept
 
 

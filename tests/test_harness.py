@@ -433,6 +433,27 @@ class TestMap:
             for name, value in vars(b).items():
                 assert np.array_equal(getattr(a, name), value), (a.label, name)
 
+    @pytest.mark.parametrize("run, cfg, target, calls", [
+        (run_hamiltonian_drift, DRIFT, "_step_map", 5),
+        (run_local_order, ORDER, "exact_solution", 4),
+    ], ids=["hamiltonian", "local-order"])
+    def test_lapack_work_runs_before_the_fork(self, monkeypatch, forks, run, cfg, target,
+                                              calls):
+        # the probes factor LUs and the exact solutions take expm, whose first
+        # call imports scipy.linalg: run in the caller before it forks, the
+        # import is made once and not again in every child
+        caller, seen = os.getpid(), []
+        original = getattr(harness, target)
+
+        def counted(*args):
+            if os.getpid() == caller:
+                seen.append(len(forks))
+            return original(*args)
+        monkeypatch.setattr(harness, target, counted)
+        self.cpus(monkeypatch, 2)
+        run(cfg)
+        assert len(forks) == 1 and seen == [0] * calls
+
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_process_without_fork_or_affinity(self, monkeypatch, missing):
         monkeypatch.delattr(os, missing)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
                    SweeperConfig, build_preconditioner, build_rule, integrate,
                    make_oscillator, make_penning, sdc_step, verlet_solve)
-from vvsdc import sdc as sdc_module
+from vvsdc import collocation as collocation_module
 from vvsdc.baselines import verlet_step
 from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_factors, _node_solver
 from vvsdc.problems import SecondOrderIVP, _linear_problem
@@ -163,13 +163,28 @@ def test_penning_march_is_the_reference_sweep_bit_for_bit(monkeypatch, M, K, sta
     u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
     problem = make_penning()
     _, fast = integrate(problem, u0, 0.0, 0.2, 0.01, cfg)
-    monkeypatch.setattr(sdc_module, "verlet_solve", _reference_sweep)
+    monkeypatch.setattr(collocation_module, "verlet_solve", _reference_sweep)
     reference = make_penning()
     _, slow = integrate(reference, u0, 0.0, 0.2, 0.01, cfg)
     assert problem.f_evals == reference.f_evals
     for a, b in zip(fast, slow):
         assert np.array_equal(a.x_end, b.x_end) and np.array_equal(a.v_end, b.v_end)
         assert a.final_residual == b.final_residual
+
+
+@pytest.mark.parametrize("problem", [
+    make_penning(),
+    SecondOrderIVP(d=3, force=lambda x, v: -np.sin(x), velocity_dependent=np.zeros(3, bool)),
+    SecondOrderIVP(d=3, force=lambda x, v: 50.0 * v * v, velocity_dependent=np.ones(3, bool)),
+], ids=["linear", "velocity-independent", "velocity-dependent"])
+def test_zero_weights_take_one_force_evaluation(problem):
+    # Picard's node "solve": v = b, one f(x, b), no LU factor and no fixed-point loop
+    x, b, f_start = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0]), np.ones(3)
+    solve = _node_solver(problem, 0.1, np.zeros(3))
+    before, cached = problem.f_evals, _node_factors.cache_info().currsize
+    v, f = solve(2, x, b, f_start)
+    assert problem.f_evals == before + 1 and _node_factors.cache_info().currsize == cached
+    assert np.array_equal(v, b) and np.array_equal(f, problem.force(x, b))
 
 
 def test_nonlinear_velocity_solve_and_failure():

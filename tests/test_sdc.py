@@ -188,10 +188,14 @@ class TestStep:
         cfg = SweeperConfig(rule=rule, K=20)
         res = sdc_step(problem, u0, dt, cfg)
         ref_problem = make_penning()
-        state, _, F = picard_iterate(ref_problem, u0, dt, rule, K=80)
-        x_ref, v_ref = update_step(state, u0, dt, rule, forces=F)
-        assert res.x_end == pytest.approx(x_ref, abs=1e-10)
-        assert res.v_end == pytest.approx(v_ref, abs=1e-10)
+        picard, _, F = picard_iterate(ref_problem, u0, dt, rule, K=80)
+        # the dense solve shares no code with the sweep that SDC and Picard run
+        direct = solve_collocation_linear(ref_problem, u0, dt, rule)
+        for state, forces in ((picard, F),
+                              (direct, ref_problem.f_nodes(direct.X, direct.V))):
+            x_ref, v_ref = update_step(state, u0, dt, rule, forces=forces)
+            assert res.x_end == pytest.approx(x_ref, abs=1e-10)
+            assert res.v_end == pytest.approx(v_ref, abs=1e-10)
 
     def test_f_eval_accounting_verlet_guess(self):
         # linear-in-v closed-form node solves: M (K + 1) + 1 evals per step
@@ -229,12 +233,17 @@ class TestStep:
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
             run(problem, (np.array([1.0]), np.array([0.0])))
 
+    @pytest.mark.parametrize("sweeps", [
+        lambda K: SweeperConfig(rule=RULE3, K=K).K,
+        lambda K: len(picard_iterate(make_penning(), (np.ones(3), np.ones(3)), 0.1,
+                                     RULE3, K=K)[1]),
+    ], ids=["SweeperConfig", "picard_iterate"])
     @pytest.mark.parametrize("K", [-1, 2.5, None, "3"])
-    def test_sweep_count_is_an_integer_at_least_0(self, K):
+    def test_sweep_count_is_an_integer_at_least_0(self, K, sweeps):
         # K = -1 would run no sweep at all and report the start's residual
         with pytest.raises(ConfigurationError, match="K must be an integer >= 0"):
-            SweeperConfig(rule=RULE3, K=K)
-        assert SweeperConfig(rule=RULE3, K=np.int64(0)).K == 0
+            sweeps(K)
+        assert sweeps(np.int64(0)) == 0
 
 
 def _mirror_like():
