@@ -8,7 +8,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, SolverError, _check_sweeps
-from .preconditioner import PreconditionerMatrices, _picard_preconditioner, verlet_solve
+from .preconditioner import (PreconditionerMatrices, _node_solver, _picard_preconditioner,
+                             verlet_solve)
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
 
@@ -128,11 +129,12 @@ def solve_collocation_linear(problem: SecondOrderIVP, u0, dt: float,
 
 
 def _sweep(problem: SecondOrderIVP, ff: NodeState, dt: float,
-           pre: PreconditionerMatrices, forces):
+           pre: PreconditionerMatrices, forces, solve):
     """One sweep, (I - dt Q_pre F) U^{k+1} = dt (Q_coll - Q_pre) F(U^k) + C_coll U_0 node by
-    node, from ``ff`` = C_coll U_0 and ``forces`` = F(U^k); returns U^{k+1} and its forces."""
+    node, from ``ff`` = C_coll U_0 and ``forces`` = F(U^k), by ``verlet_solve`` with its
+    ``_solve`` = ``solve``; returns U^{k+1} and its forces."""
     X, V, F = verlet_solve(problem, ff.X + dt * dt * (pre.QQ_Qx @ forces),
-                           ff.V + dt * (pre.Q_QT @ forces), dt, pre, forces=forces)
+                           ff.V + dt * (pre.Q_QT @ forces), dt, pre, forces, _solve=solve)
     return NodeState(X, V), F
 
 
@@ -142,17 +144,18 @@ def picard_iterate(problem: SecondOrderIVP, u0, dt: float, rule: QuadratureRule,
 
     Iterates U^{k+1} = C_coll U_0 + dt Q_coll F(U^k) K times, from
     ``initial`` or else from the free-flight nodes: K sweeps with Picard's
-    zero preconditioner.  Returns the final state, the trace of
-    infinity-norm updates, and the final force values.
+    zero preconditioner and one node solve, chosen once.  Returns the final
+    state, the trace of infinity-norm updates, and the final force values.
     """
     _check_sweeps(K)
     ff = free_flight(u0, dt, rule, problem.d)
     pre = _picard_preconditioner(rule)
+    solve = _node_solver(problem, dt, pre.QT.diagonal()[1:])
     state = ff.copy() if initial is None else initial.copy()
     F = problem.f_nodes(state.X, state.V)
     trace = []
     for k in range(1, K + 1):
-        (state, F), prev = _sweep(problem, ff, dt, pre, F), state
+        (state, F), prev = _sweep(problem, ff, dt, pre, F, solve), state
         trace.append(max(np.max(np.abs(state.X - prev.X)), np.max(np.abs(state.V - prev.V))))
         _check_guard("Picard iterate", state.X, state.V, k, K, dt)
     return state, trace, F

@@ -536,7 +536,7 @@ def _drift_from_matrix(S: np.ndarray, u0, n_steps: int, label: str) -> DriftSeri
 
 
 def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
-    """Relative discrete-Hamiltonian error series for SDC and RKN-4.
+    """Relative discrete-Hamiltonian error series for SDC and the RK4 baseline.
 
     The undamped oscillator is linear, so each fixed-dt method is an affine
     map on (x, v); the long run iterates the one-step matrix probed from the
@@ -570,7 +570,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
 
     rules = [build_rule(config.family, M) for M in M_list]
     items = [SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
-             for rule in rules for K in config.K_list] + [None]   # None: RKN-4
+             for rule in rules for K in config.K_list] + [None]   # None: classical RK4
     # probing before the fork imports LAPACK once; the n_steps loops are shared out
     return _map(lambda probed: _drift_from_matrix(probed[0], u0, config.n_steps, probed[1]),
                 [probe(sw) for sw in items], cost=lambda probed: 1.0)

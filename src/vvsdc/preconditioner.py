@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -22,6 +22,11 @@ class PreconditionerMatrices:
     Qx: np.ndarray     # QE @ QT + (QE * QE) / 2, position weights
     QQ_Qx: np.ndarray  # rule.QQ - Qx, position correction block of a sweep
     Q_QT: np.ndarray   # rule.Q - QT, velocity correction block of a sweep
+
+    @cached_property
+    def node_rows(self):
+        """``(Qx[m, :m], QT[m, :m])`` for nodes m = 1..M, sliced once per matrices."""
+        return tuple((self.Qx[m, :m], self.QT[m, :m]) for m in range(1, len(self.QT)))
 
 
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
@@ -93,7 +98,9 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     the problem's force.  Zero weights (Picard's) give v = b and one force
     evaluation, with no factor and no loop.  Linear forces solve
     ``(I - c A_v) v = b + c A_x x`` with the factors of :func:`_node_factors`,
-    fetched here for all nodes in one cached lookup.  Velocity-independent
+    fetched here for all nodes in one cached lookup, and return the force
+    ``A_x x + A_v v`` from the ``A_x x`` already formed: the problem's
+    ``linear_parts`` define the force this solve evaluates.  Velocity-independent
     forces are solved directly.  Any other force takes a fixed-point loop that
     starts at v = b + c * f_start and stops at the first iterate whose residual
     |b + c * f(x, v) - v| is at most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|;
@@ -111,8 +118,9 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
         def linear(m, x, b, f_start):
             c, getrs = factors[m - 1]
-            v = getrs(b + c * (A_x @ x))[0]
-            return v, problem.f(x, v)
+            A_x_x = A_x @ x
+            v = getrs(b + c * A_x_x)[0]
+            return v, problem.f(x, v, _A_x_x=A_x_x)
         return linear
     c_nodes = (dt * weights).tolist()
     if not problem.velocity_dependent.any():
@@ -140,25 +148,26 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
-                 dt: float, matrices: PreconditionerMatrices, forces):
+                 dt: float, matrices: PreconditionerMatrices, forces, *, _solve=None):
     """Solve M_pre(U) = rhs by one pass through the nodes, velocity-Verlet's or Picard's.
 
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
     ``forces``, the (M+1, d) node forces of the previous iterate, fixes the
     node-0 force (row 0) and starts each fixed-point node solve from the
-    velocity its row m gives (see :func:`_node_solver`, chosen once per call).
-    Returns the node states together with the force values at all nodes,
-    so callers can reuse them without re-evaluating.
+    velocity its row m gives.  ``_solve`` is the :func:`_node_solver` of the
+    problem, ``dt`` and the ``QT`` diagonal, which a step chooses once for
+    all its sweeps; it is chosen here when not given.  Returns the node
+    states together with the force values at all nodes, so callers can
+    reuse them without re-evaluating.
     """
     X = np.array(rhs_x, dtype=float)
     V = np.array(rhs_v, dtype=float)
     F = np.empty_like(X)   # every row is set below
     F[0] = forces[0]
-    QT, Qx = matrices.QT, matrices.Qx
     dt2 = dt * dt
-    solve = _node_solver(problem, dt, QT.diagonal()[1:])
-    for m in range(1, len(X)):
-        X[m] = rhs_x[m] + dt2 * (Qx[m, :m] @ F[:m])
-        b = rhs_v[m] + dt * (QT[m, :m] @ F[:m])
+    solve = _solve or _node_solver(problem, dt, matrices.QT.diagonal()[1:])
+    for m, (qx, qt) in enumerate(matrices.node_rows, 1):
+        X[m] = rhs_x[m] + dt2 * (qx @ F[:m])
+        b = rhs_v[m] + dt * (qt @ F[:m])
         V[m], F[m] = solve(m, X[m], b, forces[m])
     return X, V, F

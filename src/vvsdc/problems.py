@@ -21,6 +21,8 @@ class SecondOrderIVP:
     ``force`` maps (x, v) -> f with x, v of shape (d,).  The instance
     counts force evaluations; use :meth:`f` (or :meth:`f_nodes`) rather
     than calling ``force`` directly so the counter stays accurate.
+    ``linear_parts`` (A_x, A_v), when given, define the force the linear
+    node solve evaluates, ``A_x x + A_v v``, in place of ``force``.
     """
 
     d: int
@@ -30,8 +32,10 @@ class SecondOrderIVP:
     exact: Optional[Callable] = None
     f_evals: int = field(default=0, compare=False)
 
-    def f(self, x, v) -> np.ndarray:
+    def f(self, x, v, *, _A_x_x=None) -> np.ndarray:
         self.f_evals += 1
+        if _A_x_x is not None:   # a linear node solve's A_x x: the force of linear_parts
+            return _A_x_x + self.linear_parts[1] @ v
         return np.asarray(self.force(np.asarray(x, float), np.asarray(v, float)), float)
 
     def f_nodes(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ from .collocation import (NodeState, StepResult, _as_u0, _check_guard, _rows,
                           _sweep, collocation_residual, free_flight, update_step)
 from .errors import ConfigurationError, DivergenceError, _check_sweeps
 # verlet_solve is re-exported: perfbench's tracer test reads vvsdc.sdc.verlet_solve
-from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
+from .preconditioner import (PreconditionerMatrices, _node_solver, build_preconditioner,
+                             verlet_solve)
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
 
@@ -61,11 +62,11 @@ def _random_draws(seed: int, Mp1: int, d: int):
 
 
 def initial_guess(u0, problem: SecondOrderIVP, dt: float,
-                  config: SweeperConfig, ff: NodeState | None = None):
+                  config: SweeperConfig, ff: NodeState | None = None, *, _solve=None):
     """Starting iterate U^0 plus its node forces, by ``config.initial_guess``.
 
     The Verlet start is the copy start followed by one :func:`sdc_sweep`,
-    which takes ``ff`` as that function does.  The copy's force f0 is
+    which takes ``ff`` and ``_solve`` as that function does.  The copy's force f0 is
     constant.  Q and QT integrate a constant alike, and QQ and Qx integrate
     it twice alike wherever ``rule.QQ`` integrates a linear function
     exactly, so that sweep has no correction term there: it is the
@@ -83,22 +84,22 @@ def initial_guess(u0, problem: SecondOrderIVP, dt: float,
     state = NodeState(_rows(x0, Mp1), _rows(v0, Mp1))
     F = _rows(problem.f(x0, v0), Mp1)
     if config.initial_guess is GuessStrategy.VERLET_SWEEP:
-        return sdc_sweep(problem, state, u0, dt, config, prev_forces=F, ff=ff)
+        return sdc_sweep(problem, state, u0, dt, config, F, ff, _solve=_solve)
     return state, F
 
 
 def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
               config: SweeperConfig, prev_forces=None,
-              ff: NodeState | None = None):
+              ff: NodeState | None = None, *, _solve=None):
     """One correction sweep with Q_pre = Q_vv: a velocity-Verlet pass with
     quadrature corrections (see ``collocation._sweep``).  ``ff``, the step's
-    :func:`free_flight` nodes C_coll U_0, is built here when not given.
-    Returns the new state and its node forces.
+    :func:`free_flight` nodes C_coll U_0, is built here when not given, and
+    the node solve ``_solve`` by ``verlet_solve``.  Returns the new state and its node forces.
     """
     Fk = problem.f_nodes(prev.X, prev.V) if prev_forces is None else prev_forces
     if ff is None:
         ff = free_flight(u0, dt, config.rule, problem.d)
-    return _sweep(problem, ff, dt, config.matrices, Fk)
+    return _sweep(problem, ff, dt, config.matrices, Fk, _solve)
 
 
 def sdc_step(problem: SecondOrderIVP, u0, dt: float,
@@ -106,14 +107,16 @@ def sdc_step(problem: SecondOrderIVP, u0, dt: float,
     """One full SDC time step: starting guess, K sweeps, quadrature update.
 
     ``final_residual`` is the collocation residual of the last iterate,
-    computed on first read.  ``u0`` is converted once, here.
+    computed on first read.  ``u0`` is converted and the sweeps' node solve chosen once, here.
     """
     evals_before = problem.f_evals
     u0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, config.rule, problem.d)
-    state, F = initial_guess(u0, problem, dt, config, ff=ff)
+    sweeps = config.K + (config.initial_guess is GuessStrategy.VERLET_SWEEP)
+    solve = _node_solver(problem, dt, config.matrices.QT.diagonal()[1:]) if sweeps else None
+    state, F = initial_guess(u0, problem, dt, config, ff=ff, _solve=solve)
     for k in range(1, config.K + 1):
-        state, F = sdc_sweep(problem, state, u0, dt, config, prev_forces=F, ff=ff)
+        state, F = sdc_sweep(problem, state, u0, dt, config, F, ff, _solve=solve)
         _check_guard("SDC iterate", state.X, state.V, k, config.K, dt)
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,

@@ -106,11 +106,12 @@ class TestRkn4:
                        0.0, 1.0, 0.01)
         assert problem.f_evals == 4 * 100
 
-    @pytest.mark.parametrize("x0", [2e8, np.inf, np.nan])
+    @pytest.mark.parametrize("x0", [2e8, np.nextafter(1e8, np.inf), np.inf, np.nan])
     def test_divergence_guard(self, x0):
         # the same guard as the SDC and Picard iterates: past 1e8 or not finite
         problem = make_oscillator(0.0, 0.0)
         assert rkn4_step(problem, [9e7], [0.0], 0.1)[0] == pytest.approx([9e7])
+        assert np.array_equal(rkn4_step(problem, [1e8], [-1e8], 0.0), ([1e8], [-1e8]))
         with np.errstate(invalid="ignore"), pytest.raises(
                 DivergenceError, match=r"^RK4 state exceeded 1e\+08 or is not finite$"):
             rkn4_step(problem, [x0], [0.0], 0.1)

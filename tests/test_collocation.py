@@ -178,8 +178,10 @@ def test_picard_is_the_richardson_recursion_bit_for_bit(make, u0, M, start):
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e8, -1.0000001e8])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e8, -1.0000001e8,
+                                 np.nextafter(1e8, np.inf), -np.nextafter(1e8, np.inf)])
 def test_within_guard(bad):
+    # each bad value alone in X, then alone in V; exactly +-1e8 everywhere passes
     from vvsdc.collocation import DIVERGENCE_GUARD, _check_guard
     X, V = np.full((4, 3), -DIVERGENCE_GUARD), np.full((4, 3), DIVERGENCE_GUARD)
     _check_guard("state", X, V)

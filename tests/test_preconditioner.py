@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
                    SweeperConfig, build_preconditioner, build_rule, integrate,
                    make_oscillator, make_penning, sdc_step, verlet_solve)
+from vvsdc import baselines, harness, preconditioner, sdc
 from vvsdc import collocation as collocation_module
-from vvsdc.baselines import verlet_step
+from vvsdc.baselines import integrate_verlet, verlet_step
+from vvsdc.collocation import NodeState, picard_iterate
 from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_factors, _node_solver
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
@@ -121,9 +123,10 @@ def test_verlet_solve_matches_dense_solve():
         assert V - dt * (pre.QT @ Fd) == pytest.approx(rhs_v, abs=1e-12)
 
 
-def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces):
+def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces, *, _solve=None):
     """verlet_solve of a linear force written out node by node, each node
-    velocity by np.linalg.solve (gesv, which rounds as getrf + getrs do)."""
+    velocity by np.linalg.solve (gesv, which rounds as getrf + getrs do) and
+    each node force by problem.f; the step's node solve ``_solve`` is ignored."""
     A_x, A_v = problem.linear_parts
     X, V, F = (np.array(a, dtype=float) for a in (rhs_x, rhs_v, forces))
     for m in range(1, len(X)):
@@ -170,6 +173,108 @@ def test_penning_march_is_the_reference_sweep_bit_for_bit(monkeypatch, M, K, sta
     for a, b in zip(fast, slow):
         assert np.array_equal(a.x_end, b.x_end) and np.array_equal(a.v_end, b.v_end)
         assert a.final_residual == b.final_residual
+
+
+def _with_reference_sweep(monkeypatch, run):
+    """``run(problem)`` on a fresh Penning trap, then on another one with the
+    sweep's ``verlet_solve`` replaced by :func:`_reference_sweep`; returns both
+    results once their f-eval counts are found equal."""
+    problem, reference = make_penning(), make_penning()
+    fast = run(problem)
+    with monkeypatch.context() as patch:
+        patch.setattr(collocation_module, "verlet_solve", _reference_sweep)
+        slow = run(reference)
+    assert problem.f_evals == reference.f_evals
+    return fast, slow
+
+
+def test_global_order_finest_rung_is_the_reference_sweep_bit_for_bit(monkeypatch):
+    # global-order's defaults: Penning, M = 3, the random start (seed 42),
+    # K = 1, 2, 3, t_end = 2 and a ladder whose finest step is 0.05/32
+    config = harness.ExperimentConfig()
+    assert config.initial_guess is GuessStrategy.RANDOM and config.seed == 42
+    for K in config.K_list:
+        fast, slow = _with_reference_sweep(monkeypatch, lambda p: integrate(
+            p, config.initial_value(), 0.0, config.t_end, 0.05 / 32, config.sweeper(K))[1])
+        assert len(fast) == 1280
+        assert np.array_equal([r.x_end for r in fast], [r.x_end for r in slow])
+        assert np.array_equal([r.v_end for r in fast], [r.v_end for r in slow])
+
+
+@pytest.mark.parametrize("start", ["free-flight", "copy"])
+def test_picard_is_the_reference_sweep_bit_for_bit(monkeypatch, start):
+    rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
+    u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
+    initial = None if start == "free-flight" else NodeState(np.tile(u0[0], (4, 1)),
+                                                            np.tile(u0[1], (4, 1)))
+    fast, slow = _with_reference_sweep(
+        monkeypatch, lambda p: picard_iterate(p, u0, 0.02, rule, 4, initial=initial))
+    assert np.array_equal(fast[0].X, slow[0].X) and np.array_equal(fast[0].V, slow[0].V)
+    assert np.array_equal(fast[1], slow[1]) and np.array_equal(fast[2], slow[2])
+
+
+@pytest.mark.parametrize("start", list(GuessStrategy), ids=lambda s: s.value)
+def test_step_map_probe_is_the_reference_sweep_bit_for_bit(monkeypatch, start):
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=3,
+                        initial_guess=start, seed=42)
+    fast, slow = _with_reference_sweep(monkeypatch, lambda p: harness._step_map(
+        p, harness._sdc_stepper(p, cfg), 0.05))
+    assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+    assert fast[2] == slow[2]
+
+
+def test_verlet_baseline_is_the_reference_step_bit_for_bit():
+    # the velocity-Verlet step written out, its node velocity by np.linalg.solve
+    # and its force by problem.f; dt = 2^-7 makes every step of the march dt
+    dt, n = 2.0 ** -7, 20
+    u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
+    problem, reference = make_penning(), make_penning()
+    _, xs, vs = integrate_verlet(problem, u0, 0.0, n * dt, dt)
+    A_x, A_v = reference.linear_parts
+    x, v = u0
+    f = reference.f(x, v)
+    for x_got, v_got in zip(xs, vs):
+        b = v + 0.5 * dt * f
+        x = x + dt * (v + 0.5 * dt * f)
+        c = dt * 0.5
+        v = np.linalg.solve(np.eye(3) - c * A_v, b + c * (A_x @ x))
+        f = reference.f(x, v)
+        assert np.array_equal(x_got, x) and np.array_equal(v_got, v)
+    assert len(xs) == n and problem.f_evals == reference.f_evals == n + 1
+
+
+def test_node_solve_is_chosen_once_per_step(monkeypatch):
+    # sdc_step chooses the node solve once, for the Verlet start's sweep too;
+    # picard_iterate once per call; the sweeps still call collocation.verlet_solve
+    chosen, swept = [], []
+    choose, sweep = _node_solver, collocation_module.verlet_solve
+
+    def spy_choose(*args):
+        chosen.append(args)
+        return choose(*args)
+
+    def spy_sweep(*args, **kwargs):
+        swept.append(args)
+        return sweep(*args, **kwargs)
+    for module in (preconditioner, collocation_module, sdc, baselines):
+        monkeypatch.setattr(module, "_node_solver", spy_choose)
+    monkeypatch.setattr(collocation_module, "verlet_solve", spy_sweep)
+    problem = make_penning()
+    u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
+    rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
+    for start in GuessStrategy:
+        cfg = SweeperConfig(rule=rule, K=3, initial_guess=start, seed=42)
+        chosen.clear(), swept.clear()
+        sdc_step(problem, u0, 0.01, cfg)
+        assert len(chosen) == 1
+        assert len(swept) == cfg.K + (start is GuessStrategy.VERLET_SWEEP)
+        chosen.clear(), swept.clear()
+        integrate(problem, u0, 0.0, 7 * 0.01, 0.01, cfg)
+        assert len(chosen) == 7
+        assert len(swept) == 7 * (cfg.K + (start is GuessStrategy.VERLET_SWEEP))
+    chosen.clear(), swept.clear()
+    picard_iterate(problem, u0, 0.01, rule, 3)
+    assert len(chosen) == 1 and len(swept) == 3
 
 
 @pytest.mark.parametrize("problem", [
@@ -364,6 +469,9 @@ def test_singular_node_matrix_is_solver_error():
     with pytest.raises(SolverError, match=r"singular at dt = 1\.0") as info:
         integrate(problem, (1.0, 1.0), 0.0, 2.0, 1.0, cfg)
     assert info.value.node == 1
+    # a step of no sweep solves no node, so it has no node matrix to fail on
+    cfg.K = 0
+    assert len(integrate(problem, (1.0, 1.0), 0.0, 2.0, 1.0, cfg)[1]) == 2
     # the Verlet baseline's half-step node solve (c = dt/2) fails the same way
     with pytest.raises(SolverError, match=r"singular at dt = 0\.5"):
         verlet_step(problem, 1.0, 1.0, 0.5)
