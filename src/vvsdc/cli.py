@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -168,19 +169,24 @@ def main(argv=None) -> int:
     # summary.csv is written last, so it is there only if the last run exited 0
     with contextlib.suppress(FileNotFoundError):
         os.remove(summary)
-    try:
-        entries = []
-        for experiment, file_name, header, columns in tables(_build_config(args)):
-            path = os.path.join(args.out, file_name)
-            write_csv(path, header, columns)
-            entries.append((experiment, path))
-        write_csv(summary, ["experiment", "file"], zip(*entries))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DivergenceError, SolverError, AnalysisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # the warnings a run shows are held back and shown only if it exits 0, so
+    # that a failed run prints its error line alone (overflowing steps warn)
+    with warnings.catch_warnings(record=True) as shown:
+        try:
+            entries = []
+            for experiment, file_name, header, columns in tables(_build_config(args)):
+                path = os.path.join(args.out, file_name)
+                write_csv(path, header, columns)
+                entries.append((experiment, path))
+            write_csv(summary, ["experiment", "file"], zip(*entries))
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (DivergenceError, SolverError, AnalysisError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    for w in shown:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return 0
 
 

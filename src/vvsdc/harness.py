@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import traceback
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -228,15 +229,18 @@ def _shares(costs, n: int):
 
 def _child(fn, items, write: int):
     """A forked child's share: ``[fn(x) for x in items]``, or the exception it
-    raised with its traceback, pickled into the pipe ``write``.  Never returns."""
+    raised with its traceback, pickled into the pipe ``write`` together with
+    the warnings it showed, for the caller to show.  Never returns."""
     code = 1
     try:
-        try:
-            payload = (True, [fn(x) for x in items], None)
-        except BaseException as exc:   # the caller re-raises it
-            payload = (False, exc, traceback.format_exc())
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                payload = (True, [fn(x) for x in items], None)
+            except BaseException as exc:   # the caller re-raises it
+                payload = (False, exc, traceback.format_exc())
+        warned = [(str(w.message), w.category, w.filename, w.lineno) for w in shown]
         with os.fdopen(write, "wb") as fh:
-            pickle.dump(payload, fh)
+            pickle.dump((*payload, warned), fh)
         code = 0
     finally:
         os._exit(code)   # no cleanup of the caller's state it shares
@@ -248,9 +252,10 @@ def _map(fn, items, cost):
     There is one process per usable CPU, counting this one, so that no more
     processes are busy than there are CPUs.  Items are dealt longest-first by
     ``cost``; this process computes share 0 and each child one other share,
-    which it sends back pickled over a pipe.  An exception raised in a child
-    is raised here, and every child is killed and reaped on every way out.
-    With one process this is the plain loop.
+    which it sends back pickled over a pipe.  A child's warnings are shown
+    here, an exception raised in a child is raised here, and every child is
+    killed and reaped on every way out.  With one process this is the plain
+    loop.
     """
     items = list(items)
     shares = _shares([cost(x) for x in items], _processes(len(items)))
@@ -269,9 +274,11 @@ def _map(fn, items, cost):
             results[i] = fn(items[i])
         for pid, fh, share in children:
             try:
-                ok, value, trace = pickle.load(fh)
+                ok, value, trace, warned = pickle.load(fh)
             except EOFError:
                 raise RuntimeError(f"worker process {pid} ended without a result") from None
+            for message, category, filename, lineno in warned:
+                warnings.showwarning(message, category, filename, lineno)
             if not ok:
                 raise value from RuntimeError(f"in worker process {pid}:\n{trace}")
             for i, result in zip(share, value):
@@ -571,7 +578,7 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
     rules = [build_rule(config.family, M) for M in M_list]
     items = [SweeperConfig(rule=rule, K=K, initial_guess=GuessStrategy.VERLET_SWEEP)
              for rule in rules for K in config.K_list] + [None]   # None: classical RK4
-    # probing before the fork imports LAPACK once; the n_steps loops are shared out
+    # the maps are probed in this process; the n_steps loops are shared out
     return _map(lambda probed: _drift_from_matrix(probed[0], u0, config.n_steps, probed[1]),
                 [probe(sw) for sw in items], cost=lambda probed: 1.0)
 

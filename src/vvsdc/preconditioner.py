@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _gesv   # np.linalg.solve's, unwrapped
 
 from .errors import SolverError
 from .problems import SecondOrderIVP
@@ -64,31 +65,29 @@ def _picard_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
 
 
 @lru_cache(maxsize=256)
-def _node_factors(a_v: bytes, d: int, dt: float, weights: bytes):
-    """``(c, getrs)`` for nodes 1, 2, ...: ``getrs(rhs)`` solves with the LU
-    factor by LAPACK ``getrf`` of ``I - c*A_v``, ``c = dt*w`` for each node
-    weight ``w`` of ``weights``, and returns LAPACK ``getrs``'s tuple.
+def _node_matrices(a_v: bytes, d: int, dt: float, weights: bytes):
+    """``(c, I - c*A_v)`` for nodes 1, 2, ..., ``c = dt*w`` for each node
+    weight ``w`` of ``weights``; the matrices are read-only.
 
     ``A_v`` and the weights arrive as the bytes of their float values, so
     the cache keys on values: two problems with equal ``A_v`` share the
-    factors of a (dt, weights), and two with different ``A_v`` never do.
-    ``getrf`` followed by ``getrs`` is what ``np.linalg.solve`` runs
-    (``gesv``), so a factored solve rounds exactly as that call would.  A
-    singular node matrix is a ``SolverError`` naming the node and ``dt``.
+    matrices of a (dt, weights), and two with different ``A_v`` never do.
+    A singular node matrix is found once, as the set is built: a
+    ``SolverError`` naming the node and ``dt``.
     """
-    # scipy.linalg is imported by the first factorisation, not with the
-    # package: it is most of the import time, and only linear forces need it
-    from scipy.linalg.lapack import dgetrf, dgetrs
     A_v = np.frombuffer(a_v).reshape(d, d)
-    factors = []
+    nodes = []
     for node, w in enumerate(np.frombuffer(weights).tolist(), 1):
         c = dt * w
-        lu, piv, info = dgetrf(np.eye(d) - c * A_v)
-        if info > 0:
+        mat = np.eye(d) - c * A_v
+        try:
+            np.linalg.solve(mat, np.zeros(d))
+        except np.linalg.LinAlgError:
             raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
-                              f" (c = {c!r})", node=node)
-        factors.append((c, partial(dgetrs, lu, piv)))
-    return tuple(factors)
+                              f" (c = {c!r})", node=node) from None
+        mat.flags.writeable = False
+        nodes.append((c, mat))
+    return tuple(nodes)
 
 
 def _node_solver(problem: SecondOrderIVP, dt: float, weights):
@@ -96,10 +95,10 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
     Returns ``solve(m, x, b, f_start) -> (v, f(x, v))``, chosen once for
     the problem's force.  Zero weights (Picard's) give v = b and one force
-    evaluation, with no factor and no loop.  Linear forces solve
-    ``(I - c A_v) v = b + c A_x x`` with the factors of :func:`_node_factors`,
-    fetched here for all nodes in one cached lookup, and return the force
-    ``A_x x + A_v v`` from the ``A_x x`` already formed: the problem's
+    evaluation, with no node matrix and no loop.  Linear forces solve
+    ``(I - c A_v) v = b + c A_x x`` by ``np.linalg.solve``'s gesv kernel with
+    the matrices of :func:`_node_matrices`, all nodes' in one cached lookup,
+    and return ``A_x x + A_v v`` from the ``A_x x`` already formed: the problem's
     ``linear_parts`` define the force this solve evaluates.  Velocity-independent
     forces are solved directly.  Any other force takes a fixed-point loop that
     starts at v = b + c * f_start and stops at the first iterate whose residual
@@ -113,13 +112,13 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
         return lambda m, x, b, f_start: (b, problem.f(x, b))
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
-        factors = _node_factors(np.asarray(A_v, float).tobytes(), problem.d, dt,
-                                weights.tobytes())
+        nodes = _node_matrices(np.asarray(A_v, float).tobytes(), problem.d, dt,
+                               weights.tobytes())
 
         def linear(m, x, b, f_start):
-            c, getrs = factors[m - 1]
+            c, mat = nodes[m - 1]
             A_x_x = A_x @ x
-            v = getrs(b + c * A_x_x)[0]
+            v = _gesv(mat, b + c * A_x_x)
             return v, problem.f(x, v, _A_x_x=A_x_x)
         return linear
     c_nodes = (dt * weights).tolist()

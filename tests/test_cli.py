@@ -1,13 +1,18 @@
 import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_csv
-from vvsdc import (GuessStrategy, NodeFamily, SweeperConfig, build_rule, integrate,
-                   make_oscillator)
-from vvsdc.cli import COMMANDS, main
+import vvsdc
+from vvsdc import (DivergenceError, GuessStrategy, NodeFamily, SweeperConfig, build_rule,
+                   integrate, make_oscillator)
+from vvsdc.cli import COMMANDS, _nodes, main
 
 TINY = ("[problem]\nkind = oscillator\n"
         "[run]\ndt_list = 0.1 0.05 0.025 0.0125\nt_end = 0.5\nn_steps = 200\n"
@@ -284,6 +289,43 @@ def test_divergence_exits_3(tmp_path, capsys, command, ini, flags, run):
     assert "Traceback" not in err
     assert re.fullmatch(r"error: SDC iterate exceeded 1e\+08 or is not finite in sweep \d+"
                         rf" of {run}\n", err)
+
+
+@pytest.mark.parametrize("command, ini, flags", [
+    ("integrate", "[run]\nt_end = 1e300\ndt_list = 1e300\n", ()),
+    ("local-order", "", ("--dt", "1e300", "1e299", "1e298", "1e297")),
+    ("hamiltonian", "[run]\nhamiltonian_dt = 1e300\nn_steps = 100\n", ()),
+], ids=["integrate", "local-order", "hamiltonian"])
+def test_overflowing_run_prints_its_error_line_alone(tmp_path, command, ini, flags):
+    # these steps overflow, and NumPy warns before the guard fails the sweep,
+    # in forked children too for local-order; a fresh process has the warning
+    # filters a user has, where this one turns vvsdc's warnings into errors
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    src = str(Path(vvsdc.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "vvsdc.cli", command, "--config", str(cfg),
+                          "--out", str(tmp_path / "out"), *flags], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: SDC iterate exceeded") and run.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-3"])
+def test_warnings_are_shown_only_when_the_run_exits_0(tmp_path, monkeypatch, capsys, fails):
+    # a run's warnings are held back until its exit code is known: shown
+    # after exit 0, dropped when the run ends in its error line
+    def tables(cfg):
+        warnings.warn("overflow in a table", RuntimeWarning)
+        if fails:
+            raise DivergenceError("iterate diverged")
+        yield from _nodes(cfg)
+    monkeypatch.setitem(COMMANDS, "nodes", ({}, {"M", "nodes"}, tables))
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code = main(["nodes", "--out", str(tmp_path / "out")])
+    assert code == (3 if fails else 0)
+    assert [str(w.message) for w in shown] == ([] if fails else ["overflow in a table"])
+    assert capsys.readouterr().err == ("error: iterate diverged\n" if fails else "")
 
 
 @pytest.mark.parametrize("ini, exit_code", [(STIFF, 3), ("[run]\ndt_list = 0.1 0.1\n", 2)],

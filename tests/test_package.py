@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vvsdc
+import vvsdc.cli
 
 
 def test_star_import_resolves_every_export():
@@ -19,16 +21,24 @@ def test_star_import_resolves_every_export():
 
 # A fresh process runs each snippet after ``import vvsdc, vvsdc.cli``, with OUT
 # and CFG naming an output directory and a small-grid config, and prints
-# ``result``; the second item is whether it may load scipy.linalg.
+# ``result``, which must be the same as this process's; the second item is
+# whether it may load scipy.linalg.
 _MAP = "[run]\nkappa_max = 2\nmu_max = 2\nkappa_cells = 3\nmu_cells = 3\n"
-_PENNING = """
+_PENNING_MARCH = """
 import numpy as np
 problem = vvsdc.make_penning()
 cfg = vvsdc.SweeperConfig(rule=vvsdc.build_rule(vvsdc.NodeFamily.GAUSS_LEGENDRE, 3))
 u0 = (np.array([10.0, 0.0, 0.0]), np.array([100.0, 0.0, 100.0]))
 _, steps = vvsdc.integrate(problem, u0, 0.0, 0.1, 0.01, cfg)
-result = np.concatenate([steps[-1].x_end, steps[-1].v_end,
-                         *vvsdc.exact_solution(problem, 0.1, *u0)]).tobytes().hex()
+result = np.concatenate([steps[-1].x_end, steps[-1].v_end]).tobytes().hex()
+"""
+_PENNING = _PENNING_MARCH + """
+result += np.concatenate(vvsdc.exact_solution(problem, 0.1, *u0)).tobytes().hex()
+"""
+_INTEGRATE = """
+assert vvsdc.cli.main(['integrate', '--out', OUT]) == 0
+with open(OUT + '/trajectory.csv') as fh:
+    result = fh.read()
 """
 _RUNS = {
     "import": ("result = 0", False),
@@ -39,6 +49,8 @@ _RUNS = {
                         " '--out', OUT])", False),
     "stability-limits": ("result = vvsdc.cli.main(['stability-limits', '--out', OUT])",
                          False),
+    "integrate": (_INTEGRATE, False),
+    "penning-march": (_PENNING_MARCH, False),
     "penning": (_PENNING, True),
 }
 
@@ -46,8 +58,8 @@ _RUNS = {
 @pytest.mark.parametrize("run", list(_RUNS))
 def test_scipy_loads_on_first_use(tmp_path, run):
     # scipy.linalg and scipy.special are most of the import time: the stability
-    # engine and Gauss-Legendre rules need neither, and only linear node solves
-    # and exact solutions need scipy.linalg
+    # engine, Gauss-Legendre rules and linear node solves need neither, and
+    # only exact solutions need scipy.linalg
     snippet, loads_linalg = _RUNS[run]
     cfg = tmp_path / "map.ini"
     cfg.write_text(_MAP)
@@ -60,9 +72,31 @@ def test_scipy_loads_on_first_use(tmp_path, run):
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     result, loaded = out.stdout.splitlines()[-2:]
     assert loaded == ("['scipy.linalg']" if loads_linalg else "[]")
-    if loads_linalg:
-        here = {}
-        exec(snippet, {"vvsdc": vvsdc}, here)
-        assert result == repr(here["result"])   # the same bits as this process's run
-    else:
-        assert result == "0"
+    here = {"vvsdc": vvsdc, "OUT": str(tmp_path / "here"), "CFG": str(cfg)}
+    exec(snippet, here)
+    assert result == repr(here["result"])   # the same bits as this process's run
+
+
+def _scipy_imports(tree, in_function=False):
+    """``(line, in_function)`` for each SciPy import under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield node.lineno, in_function
+        yield from _scipy_imports(node, in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_scipy_is_imported_only_where_it_is_used():
+    # an import at module level (a class body or an if or try block there
+    # included) would load SciPy with the package; the node solve runs on
+    # NumPy's gesv, so preconditioner.py imports no SciPy at all
+    found = {}
+    for path in sorted(Path(vvsdc.__file__).parent.glob("*.py")):
+        found[path.name] = list(_scipy_imports(ast.parse(path.read_text())))
+        for line, in_function in found[path.name]:
+            assert in_function and path.name != "preconditioner.py", f"{path.name}:{line}"
+    assert [in_function for _, in_function in found["problems.py"]] == [True]   # expm

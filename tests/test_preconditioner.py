@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
                    SweeperConfig, build_preconditioner, build_rule, integrate,
@@ -10,7 +10,7 @@ from vvsdc import baselines, harness, preconditioner, sdc
 from vvsdc import collocation as collocation_module
 from vvsdc.baselines import integrate_verlet, verlet_step
 from vvsdc.collocation import NodeState, picard_iterate
-from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_factors, _node_solver
+from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_matrices, _node_solver
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -125,7 +125,7 @@ def test_verlet_solve_matches_dense_solve():
 
 def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces, *, _solve=None):
     """verlet_solve of a linear force written out node by node, each node
-    velocity by np.linalg.solve (gesv, which rounds as getrf + getrs do) and
+    velocity by np.linalg.solve (gesv, the kernel the node solve calls) and
     each node force by problem.f; the step's node solve ``_solve`` is ignored."""
     A_x, A_v = problem.linear_parts
     X, V, F = (np.array(a, dtype=float) for a in (rhs_x, rhs_v, forces))
@@ -282,13 +282,13 @@ def test_node_solve_is_chosen_once_per_step(monkeypatch):
     SecondOrderIVP(d=3, force=lambda x, v: -np.sin(x), velocity_dependent=np.zeros(3, bool)),
     SecondOrderIVP(d=3, force=lambda x, v: 50.0 * v * v, velocity_dependent=np.ones(3, bool)),
 ], ids=["linear", "velocity-independent", "velocity-dependent"])
-def test_zero_weights_take_one_force_evaluation(problem):
-    # Picard's node "solve": v = b, one f(x, b), no LU factor and no fixed-point loop
+def test_zero_weights_take_one_force_evaluation_and_no_node_matrix(problem):
+    # Picard's node "solve": v = b, one f(x, b), no node matrix and no fixed-point loop
     x, b, f_start = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0]), np.ones(3)
     solve = _node_solver(problem, 0.1, np.zeros(3))
-    before, cached = problem.f_evals, _node_factors.cache_info().currsize
+    before, cached = problem.f_evals, _node_matrices.cache_info().currsize
     v, f = solve(2, x, b, f_start)
-    assert problem.f_evals == before + 1 and _node_factors.cache_info().currsize == cached
+    assert problem.f_evals == before + 1 and _node_matrices.cache_info().currsize == cached
     assert np.array_equal(v, b) and np.array_equal(f, problem.force(x, b))
 
 
@@ -427,36 +427,68 @@ _C = st.floats(0.0, 2.0)
 
 @settings(deadline=None, max_examples=200)
 @given(problem=st.one_of(_PENNING, _OSCILLATOR), c=_C, seed=st.integers(0, 2**32 - 1))
-def test_factored_node_solve_is_np_linalg_solve(problem, c, seed):
-    # getrf + getrs is what np.linalg.solve (gesv) runs, so the factored
-    # solve must round exactly as that call does
+def test_linear_node_solve_is_np_linalg_solve(problem, c, seed):
+    # the node solve calls np.linalg.solve's gesv kernel, so it must round
+    # exactly as that call does
     rhs = np.random.default_rng(seed).uniform(-1e3, 1e3, problem.d)
     assert np.array_equal(_node_solve(problem, c, rhs),
                           _reference_solve(problem, c, rhs))
 
 
+@st.composite
+def _pivoting(draw):
+    """(problem, c): general A_x and A_v, d = 1..4, with A_v scaled so that
+    partial pivoting of I - c*A_v exchanges rows (d > 1): the first column's
+    largest entry is off the diagonal."""
+    d = draw(st.integers(1, 4))
+    A_x, A_v = (np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                       max_size=d * d))).reshape(d, d) for _ in "xv")
+    A_v *= 10.0 ** draw(st.floats(0.0, 3.0))
+    c = draw(st.floats(0.5, 2.0))
+    column = np.abs(np.eye(d)[:, 0] - c * A_v[:, 0])
+    assume(d == 1 or column.argmax() > 0)
+    return _linear_problem(A_x, A_v), c
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_pivoting(), seed=st.integers(0, 2**32 - 1))
+def test_pivoting_node_solve_is_np_linalg_solve(case, seed):
+    problem, c = case
+    x, b = np.random.default_rng(seed).uniform(-1e3, 1e3, (2, problem.d))
+    A_x, A_v = problem.linear_parts
+    try:
+        want = np.linalg.solve(np.eye(problem.d) - c * A_v, b + c * (A_x @ x))
+    except np.linalg.LinAlgError:   # an exactly singular draw, such as c * A_v = 1
+        with pytest.raises(SolverError, match="singular"):
+            _node_solver(problem, c, (1.0,))
+        return
+    v, f = _node_solver(problem, c, (1.0,))(1, x, b, None)
+    assert np.array_equal(v, want)
+    assert np.array_equal(f, problem.f(x, v))
+
+
 @settings(deadline=None, max_examples=50)
 @given(b1=st.floats(0.0, 100.0), b2=st.floats(0.0, 100.0), c=_C,
        seed=st.integers(0, 2**32 - 1))
-def test_node_factor_keys_on_values(b1, b2, c, seed):
+def test_node_matrices_key_on_values(b1, b2, c, seed):
     # two problems whose A_v differ at the same c, solved in turn, each get
-    # their own factor; a fresh problem with equal A_v reuses its factor
+    # their own node matrix; a fresh problem with equal A_v reuses its matrix
     first = make_penning(PenningParams(omega_b=b1))
     second = make_penning(PenningParams(omega_b=b2))
     rhs = np.random.default_rng(seed).uniform(-1e3, 1e3, 3)
     for problem in (first, second, first, second):
         assert np.array_equal(_node_solve(problem, c, rhs),
                               _reference_solve(problem, c, rhs))
-    hits = _node_factors.cache_info().hits
+    hits = _node_matrices.cache_info().hits
     _node_solve(make_penning(PenningParams(omega_b=b2)), c, rhs)
-    assert _node_factors.cache_info().hits == hits + 1
+    assert _node_matrices.cache_info().hits == hits + 1
 
 
-def test_node_factor_cache_is_bounded():
+def test_node_matrix_cache_is_bounded():
     problem = make_oscillator(1.0, 0.5)
-    for k in range(2 * _node_factors.cache_info().maxsize):
+    for k in range(2 * _node_matrices.cache_info().maxsize):
         _node_solve(problem, 1e-3 * k, np.ones(1))
-    info = _node_factors.cache_info()
+    info = _node_matrices.cache_info()
     assert info.currsize == info.maxsize
 
 
