@@ -3,8 +3,10 @@
 Every subcommand writes CSV tables, column by column with floats at full
 %.17g precision, into the output directory plus a summary.csv of them, which
 is removed as a run starts and written last.  A run exits 0 with its tables,
-or with one ``error:`` line on stderr: 2 for a bad setting, 3 for a
-divergence or a failed node solve or stability cell.
+or with one ``error:`` line on stderr: 2 for a bad setting or an ``--out``
+that cannot hold the tables, 3 for a divergence or a failed node solve or
+stability cell.  A run computes with NumPy's floating-point warnings off, so
+it reports an overflow only in its error line or as an inf in a table.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import argparse
 import contextlib
 import os
 import sys
-import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -166,27 +167,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tables = COMMANDS[args.command][2]
     summary = os.path.join(args.out, "summary.csv")
-    # summary.csv is written last, so it is there only if the last run exited 0
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(summary)
-    # the warnings a run shows are held back and shown only if it exits 0, so
-    # that a failed run prints its error line alone (overflowing steps warn)
-    with warnings.catch_warnings(record=True) as shown:
-        try:
+    try:
+        # summary.csv is written last, so it is there only if the last run exited 0
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(summary)
+        # a step too large to take overflows: the divergence guard reports it,
+        # in the run's error line or as an inf in a table, so NumPy does not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             entries = []
             for experiment, file_name, header, columns in tables(_build_config(args)):
                 path = os.path.join(args.out, file_name)
                 write_csv(path, header, columns)
                 entries.append((experiment, path))
             write_csv(summary, ["experiment", "file"], zip(*entries))
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (DivergenceError, SolverError, AnalysisError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    for w in shown:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    except (NotADirectoryError, IsADirectoryError) as exc:
+        print(f"error: --out {args.out} cannot hold the tables: {exc.strerror}: "
+              f"{exc.filename}", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DivergenceError, SolverError, AnalysisError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

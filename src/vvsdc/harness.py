@@ -8,7 +8,6 @@ import os
 import pickle
 import signal
 import traceback
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -229,18 +228,15 @@ def _shares(costs, n: int):
 
 def _child(fn, items, write: int):
     """A forked child's share: ``[fn(x) for x in items]``, or the exception it
-    raised with its traceback, pickled into the pipe ``write`` together with
-    the warnings it showed, for the caller to show.  Never returns."""
+    raised with its traceback, pickled into the pipe ``write``.  Never returns."""
     code = 1
     try:
-        with warnings.catch_warnings(record=True) as shown:
-            try:
-                payload = (True, [fn(x) for x in items], None)
-            except BaseException as exc:   # the caller re-raises it
-                payload = (False, exc, traceback.format_exc())
-        warned = [(str(w.message), w.category, w.filename, w.lineno) for w in shown]
+        try:
+            payload = (True, [fn(x) for x in items], None)
+        except BaseException as exc:   # the caller re-raises it
+            payload = (False, exc, traceback.format_exc())
         with os.fdopen(write, "wb") as fh:
-            pickle.dump((*payload, warned), fh)
+            pickle.dump(payload, fh)
         code = 0
     finally:
         os._exit(code)   # no cleanup of the caller's state it shares
@@ -252,10 +248,9 @@ def _map(fn, items, cost):
     There is one process per usable CPU, counting this one, so that no more
     processes are busy than there are CPUs.  Items are dealt longest-first by
     ``cost``; this process computes share 0 and each child one other share,
-    which it sends back pickled over a pipe.  A child's warnings are shown
-    here, an exception raised in a child is raised here, and every child is
-    killed and reaped on every way out.  With one process this is the plain
-    loop.
+    which it sends back pickled over a pipe.  An exception raised in a child
+    is raised here, and every child is killed and reaped on every way out.
+    With one process this is the plain loop.
     """
     items = list(items)
     shares = _shares([cost(x) for x in items], _processes(len(items)))
@@ -274,11 +269,9 @@ def _map(fn, items, cost):
             results[i] = fn(items[i])
         for pid, fh, share in children:
             try:
-                ok, value, trace, warned = pickle.load(fh)
+                ok, value, trace = pickle.load(fh)
             except EOFError:
                 raise RuntimeError(f"worker process {pid} ended without a result") from None
-            for message, category, filename, lineno in warned:
-                warnings.showwarning(message, category, filename, lineno)
             if not ok:
                 raise value from RuntimeError(f"in worker process {pid}:\n{trace}")
             for i, result in zip(share, value):

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import read_csv
 import vvsdc
-from vvsdc import (DivergenceError, GuessStrategy, NodeFamily, SweeperConfig, build_rule,
+from vvsdc import (GuessStrategy, NodeFamily, SweeperConfig, build_rule, harness,
                    integrate, make_oscillator)
-from vvsdc.cli import COMMANDS, _nodes, main
+from vvsdc.cli import COMMANDS, main
 
 TINY = ("[problem]\nkind = oscillator\n"
         "[run]\ndt_list = 0.1 0.05 0.025 0.0125\nt_end = 0.5\nn_steps = 200\n"
@@ -61,6 +61,22 @@ def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nbogus = 1\n")
     assert main(["nodes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("out, blocked, reason", [
+    ("file", "file/summary.csv", "Not a directory"),
+    ("file/sub", "file/sub/summary.csv", "Not a directory"),
+    ("dir", "dir/summary.csv", "Is a directory"),
+], ids=["file", "below-a-file", "summary-is-a-directory"])
+def test_out_that_cannot_hold_the_tables_exits_2(tmp_path, capsys, out, blocked, reason):
+    # a bad setting: a file, a path below one, or a directory whose
+    # summary.csv is a directory; the file is left as it was
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir" / "summary.csv").mkdir(parents=True)
+    assert main(["nodes", "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out {tmp_path / out} cannot hold the tables: "
+                                       f"{reason}: {tmp_path / blocked}\n")
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_integrate_command(tmp_path):
@@ -291,41 +307,69 @@ def test_divergence_exits_3(tmp_path, capsys, command, ini, flags, run):
                         rf" of {run}\n", err)
 
 
+OVERFLOW = "[run]\nt_end = 1e300\ndt_list = 1e300\n"
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-W", "error")], ids=["default", "W-error"])
 @pytest.mark.parametrize("command, ini, flags", [
-    ("integrate", "[run]\nt_end = 1e300\ndt_list = 1e300\n", ()),
+    ("integrate", OVERFLOW, ()),
     ("local-order", "", ("--dt", "1e300", "1e299", "1e298", "1e297")),
     ("hamiltonian", "[run]\nhamiltonian_dt = 1e300\nn_steps = 100\n", ()),
 ], ids=["integrate", "local-order", "hamiltonian"])
-def test_overflowing_run_prints_its_error_line_alone(tmp_path, command, ini, flags):
-    # these steps overflow, and NumPy warns before the guard fails the sweep,
-    # in forked children too for local-order; a fresh process has the warning
-    # filters a user has, where this one turns vvsdc's warnings into errors
+def test_overflowing_run_prints_its_error_line_alone(tmp_path, command, ini, flags,
+                                                     python_flags):
+    # these steps overflow before the guard fails the sweep, in forked children
+    # too for local-order; a CLI run computes with NumPy's warnings off, so it
+    # prints its error line alone even where every warning is an error.  A
+    # fresh process has the warning filters a user has, not this one's
     cfg = tmp_path / "exp.ini"
     cfg.write_text(ini)
     src = str(Path(vvsdc.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-m", "vvsdc.cli", command, "--config", str(cfg),
-                          "--out", str(tmp_path / "out"), *flags], capture_output=True,
-                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    run = subprocess.run([sys.executable, *python_flags, "-m", "vvsdc.cli", command,
+                          "--config", str(cfg), "--out", str(tmp_path / "out"), *flags],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 3
     assert run.stderr.startswith("error: SDC iterate exceeded") and run.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-3"])
-def test_warnings_are_shown_only_when_the_run_exits_0(tmp_path, monkeypatch, capsys, fails):
-    # a run's warnings are held back until its exit code is known: shown
-    # after exit 0, dropped when the run ends in its error line
-    def tables(cfg):
-        warnings.warn("overflow in a table", RuntimeWarning)
-        if fails:
-            raise DivergenceError("iterate diverged")
-        yield from _nodes(cfg)
-    monkeypatch.setitem(COMMANDS, "nodes", ({}, {"M", "nodes"}, tables))
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
-        code = main(["nodes", "--out", str(tmp_path / "out")])
-    assert code == (3 if fails else 0)
-    assert [str(w.message) for w in shown] == ([] if fails else ["overflow in a table"])
-    assert capsys.readouterr().err == ("error: iterate diverged\n" if fails else "")
+def _overflow(x):
+    return np.float64(x) * 1e300   # inf, where NumPy warns by default
+
+
+def _overflowing_table(cfg):
+    yield "overflow", "overflow.csv", ["x"], [[_overflow(1e300)]]
+
+
+def _overflowing_children(cfg):
+    yield "overflow", "overflow.csv", ["x"], [
+        harness._map(_overflow, [1e300, 1e299], cost=lambda x: 1.0)]
+
+
+@pytest.mark.parametrize("command, ini, tables, exit_code, rows, forked", [
+    ("nodes", "", _overflowing_table, 0, [[np.inf]], 0),
+    ("integrate", OVERFLOW, None, 3, None, 0),
+    ("nodes", "", _overflowing_children, 0, [[np.inf], [np.inf]], 1),
+], ids=["table", "integrate", "forked-child"])
+def test_a_run_shows_no_floating_point_warning(tmp_path, monkeypatch, capsys, command, ini,
+                                               tables, exit_code, rows, forked):
+    # a CLI run reports an overflow only in its error line or as an inf in a
+    # table: with every warning an error, none escapes main, from this process
+    # or from the child that _map forks on two CPUs
+    if tables is not None:
+        monkeypatch.setitem(COMMANDS, command, ({}, {"M", "nodes"}, tables))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, command, ini)
+    err = capsys.readouterr().err
+    assert code == exit_code and len(forks) == forked
+    if exit_code:
+        assert err.startswith("error: SDC iterate exceeded") and err.count("\n") == 1
+    else:
+        assert err == "" and read_csv(str(out / "overflow.csv"))[1] == rows
 
 
 @pytest.mark.parametrize("ini, exit_code", [(STIFF, 3), ("[run]\ndt_list = 0.1 0.1\n", 2)],

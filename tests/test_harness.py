@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -486,20 +485,6 @@ class TestMap:
         assert "in worker process" in str(raised.value.__cause__)
         assert len(forks) == 1
         self.assert_no_child_left()
-
-    def test_child_warnings_are_shown_in_the_caller(self, monkeypatch, forks):
-        # shown by the caller, a child's warnings are held back with the
-        # caller's own by a CLI run that fails
-        self.cpus(monkeypatch, 2)
-
-        def warn(x):
-            warnings.warn(f"item {x}", RuntimeWarning)
-            return x
-        with warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter("always")
-            assert harness._map(warn, [0, 1], cost=lambda x: 1.0) == [0, 1]
-        assert len(forks) == 1
-        assert sorted(str(w.message) for w in shown) == ["item 0", "item 1"]
 
     @pytest.mark.parametrize("exc", [SolverError("no convergence at node 2"),
                                      KeyboardInterrupt()], ids=["SolverError", "interrupt"])
