@@ -9,12 +9,14 @@ from .problems import SecondOrderIVP
 from .sdc import march
 
 
-def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
+def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None, *, _solve=None):
     """One velocity-Verlet step.
 
     Passing ``f_prev`` (the trailing force of the previous step) reuses it,
-    so a long run costs one new force evaluation per step.  Returns
-    (x', v', f') with f' the force at the new state.
+    so a long run costs one new force evaluation per step.  ``_solve`` is
+    the :func:`_node_solver` of the problem, ``dt`` and the weight 1/2, which
+    a run chooses once per step size; it is chosen here when not given.
+    Returns (x', v', f') with f' the force at the new state.
     """
     x = np.atleast_1d(np.asarray(x, float))
     v = np.atleast_1d(np.asarray(v, float))
@@ -24,7 +26,7 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
     # then solved starting from the force f0 already known, as node 1 of the
     # trapezoidal rule on the nodes (0, 1)
     b = v + 0.5 * dt * f0
-    v_new, f_new = _node_solver(problem, dt, (0.5,))(1, x_new, b, f0)
+    v_new, f_new = (_solve or _node_solver(problem, dt, (0.5,)))(1, x_new, b, f0)
     return x_new, v_new, f_new
 
 
@@ -34,9 +36,14 @@ def integrate_verlet(problem: SecondOrderIVP, u0, t0: float, t_end: float,
 
     The trailing force f(x', v') of each step starts the next one whatever
     its size, so a run costs one force evaluation per step plus the first.
+    The node solve is chosen once per step size.
     """
+    solves = {}
+
     def step(u, h):
-        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2])
+        if h not in solves:
+            solves[h] = _node_solver(problem, h, (0.5,))
+        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2], _solve=solves[h])
         return u, u
     times, states = march(step, (u0[0], u0[1], None), t0, t_end, dt)
     xs, vs, _ = zip(*states)

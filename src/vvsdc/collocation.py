@@ -14,6 +14,7 @@ from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
 
 DIVERGENCE_GUARD = 1e8
+# the step's small products use ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
 
 
 @dataclass
@@ -133,8 +134,8 @@ def _sweep(problem: SecondOrderIVP, ff: NodeState, dt: float,
     """One sweep, (I - dt Q_pre F) U^{k+1} = dt (Q_coll - Q_pre) F(U^k) + C_coll U_0 node by
     node, from ``ff`` = C_coll U_0 and ``forces`` = F(U^k), by ``verlet_solve`` with its
     ``_solve`` = ``solve``; returns U^{k+1} and its forces."""
-    X, V, F = verlet_solve(problem, ff.X + dt * dt * (pre.QQ_Qx @ forces),
-                           ff.V + dt * (pre.Q_QT @ forces), dt, pre, forces, _solve=solve)
+    X, V, F = verlet_solve(problem, ff.X + dt * dt * pre.QQ_Qx.dot(forces),
+                           ff.V + dt * pre.Q_QT.dot(forces), dt, pre, forces, _solve=solve)
     return NodeState(X, V), F
 
 
@@ -165,6 +166,6 @@ def update_step(state: NodeState, u0, dt: float, rule: QuadratureRule, forces):
     """End-of-step update from the node values and their ``forces`` via the
     q and qQ rows."""
     x0, v0 = _as_u0(u0, state.d)
-    x_end = x0 + dt * v0 + dt * dt * (rule.qQ @ forces)
-    v_end = v0 + dt * (rule.q @ forces)
+    x_end = x0 + dt * v0 + dt * dt * rule.qQ.dot(forces)
+    v_end = v0 + dt * rule.q.dot(forces)
     return x_end, v_end

@@ -406,7 +406,7 @@ def _march_linear(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
         if h not in maps:
             maps[h] = _step_map(problem, step, h)
         S, c, evals = maps[h]
-        u = S @ u + c
+        u = S.dot(u) + c   # ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
         # the test of collocation._check_guard, inlined: it runs every step
         if not np.abs(u).max() <= DIVERGENCE_GUARD:
             raise DivergenceError

@@ -15,6 +15,7 @@ from .quadrature import QuadratureRule
 _FP_TOL = 1e-13
 _FP_RTOL = 8 * np.finfo(float).eps   # 1e-13 alone is below the round-off of v at |v| >~ 1e3
 _FP_MAXITER = 100
+# the step's small products use ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
         def linear(m, x, b, f_start):
             c, mat = nodes[m - 1]
-            A_x_x = A_x @ x
+            A_x_x = A_x.dot(x)
             v = _gesv(mat, b + c * A_x_x)
             return v, problem.f(x, v, _A_x_x=A_x_x)
         return linear
@@ -163,10 +164,11 @@ def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
     V = np.array(rhs_v, dtype=float)
     F = np.empty_like(X)   # every row is set below
     F[0] = forces[0]
-    dt2 = dt * dt
     solve = _solve or _node_solver(problem, dt, matrices.QT.diagonal()[1:])
+    dt, dt2 = np.array(dt, float), np.array(dt * dt, float)   # 0-d: a row scales faster
     for m, (qx, qt) in enumerate(matrices.node_rows, 1):
-        X[m] = rhs_x[m] + dt2 * (qx @ F[:m])
-        b = rhs_v[m] + dt * (qt @ F[:m])
-        V[m], F[m] = solve(m, X[m], b, forces[m])
+        x, b = X[m], V[m]   # rows of the copies above, accumulated in place
+        x += dt2 * qx.dot(F[:m])
+        b += dt * qt.dot(F[:m])
+        V[m], F[m] = solve(m, x, b, forces[m])
     return X, V, F

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# the linear forces use ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
+
 
 @dataclass
 class SecondOrderIVP:
@@ -35,7 +37,7 @@ class SecondOrderIVP:
     def f(self, x, v, *, _A_x_x=None) -> np.ndarray:
         self.f_evals += 1
         if _A_x_x is not None:   # a linear node solve's A_x x: the force of linear_parts
-            return _A_x_x + self.linear_parts[1] @ v
+            return _A_x_x + self.linear_parts[1].dot(v)
         return np.asarray(self.force(np.asarray(x, float), np.asarray(v, float)), float)
 
     def f_nodes(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -70,7 +72,7 @@ def _linear_problem(A_x: np.ndarray, A_v: np.ndarray) -> SecondOrderIVP:
     d = A_x.shape[0]
     return SecondOrderIVP(
         d=d,
-        force=lambda x, v: A_x @ x + A_v @ v,
+        force=lambda x, v: A_x.dot(x) + A_v.dot(v),
         velocity_dependent=np.any(A_v != 0.0, axis=1),
         linear_parts=(A_x, A_v),
         exact=_companion_exact(A_x, A_v),

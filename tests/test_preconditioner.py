@@ -10,7 +10,8 @@ from vvsdc import baselines, harness, preconditioner, sdc
 from vvsdc import collocation as collocation_module
 from vvsdc.baselines import integrate_verlet, verlet_step
 from vvsdc.collocation import NodeState, picard_iterate
-from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_matrices, _node_solver
+from vvsdc.preconditioner import (_FP_RTOL, _FP_TOL, _node_matrices, _node_solver,
+                                  _picard_preconditioner)
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -241,6 +242,133 @@ def test_verlet_baseline_is_the_reference_step_bit_for_bit():
         f = reference.f(x, v)
         assert np.array_equal(x_got, x) and np.array_equal(v_got, v)
     assert len(xs) == n and problem.f_evals == reference.f_evals == n + 1
+
+
+def _reference_step(problem, u0, dt, config, picard=False):
+    """sdc_step of a linear force written out with ``@`` and np.linalg.solve:
+    free flight, the copy, Verlet or random start, the K sweeps' right-hand
+    sides and node solves, and the update.  ``picard`` takes K sweeps of
+    Picard's zero preconditioner from the free-flight nodes instead, as
+    ``picard_iterate`` does.  Returns (x_end, v_end, residual, f-evals)."""
+    A_x, A_v = problem.linear_parts
+    rule, d, start = config.rule, problem.d, config.initial_guess
+    Mp1 = rule.M + 1
+    pre = _picard_preconditioner(rule) if picard else build_preconditioner(rule)
+    evals = []
+
+    def f(x, v):
+        evals.append(1)
+        return A_x @ x + A_v @ v
+    x0, v0 = u0
+    ff_X = x0 + dt * rule.tau[:, None] * v0
+    ff_V = np.tile(v0, (Mp1, 1))
+    if picard:
+        X, V = ff_X, ff_V
+        F = np.array([f(x, v) for x, v in zip(X, V)])
+    elif start is GuessStrategy.RANDOM:
+        rng = np.random.default_rng(config.seed)
+        X, V = rng.uniform(-1.0, 1.0, size=(Mp1, d)), rng.uniform(-1.0, 1.0, size=(Mp1, d))
+        X[0], V[0] = x0, v0
+        F = np.array([f(x, v) for x, v in zip(X, V)])
+    else:
+        X, V, F = np.tile(x0, (Mp1, 1)), np.tile(v0, (Mp1, 1)), np.tile(f(x0, v0), (Mp1, 1))
+    for _ in range(config.K + (start is GuessStrategy.VERLET_SWEEP and not picard)):
+        rhs_x = ff_X + dt * dt * ((rule.QQ - pre.Qx) @ F)
+        rhs_v = ff_V + dt * ((rule.Q - pre.QT) @ F)
+        X, V, F = rhs_x.copy(), rhs_v.copy(), F.copy()
+        for m in range(1, Mp1):
+            X[m] = rhs_x[m] + dt * dt * (pre.Qx[m, :m] @ F[:m])
+            b = rhs_v[m] + dt * (pre.QT[m, :m] @ F[:m])
+            c = dt * pre.QT[m, m]
+            V[m] = b if c == 0.0 else np.linalg.solve(np.eye(d) - c * A_v,
+                                                       b + c * (A_x @ X[m]))
+            F[m] = f(X[m], V[m])
+    x_end = x0 + dt * v0 + dt * dt * (rule.qQ @ F)
+    v_end = v0 + dt * (rule.q @ F)
+    r_x = X - x0 - dt * rule.tau[:, None] * v0 - dt * dt * (rule.QQ @ F)
+    r_v = V - v0 - dt * (rule.Q @ F)
+    return x_end, v_end, max(np.max(np.abs(r_x)), np.max(np.abs(r_v))), len(evals)
+
+
+_STEP_PROBLEMS = {
+    "penning": (make_penning, (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))),
+    "oscillator": (lambda: make_oscillator(4.0, 0.5), (np.array([1.0]), np.array([-0.5]))),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_PROBLEMS))
+@pytest.mark.parametrize("M, K, start", _MARCH_SETTINGS,
+                         ids=lambda p: getattr(p, "value", str(p)))
+def test_sdc_step_is_the_reference_step_bit_for_bit(name, M, K, start):
+    # 20 steps, each from the previous step's end state; dt is no power of
+    # two, so scaling a product before or after it rounds differently
+    make, u0 = _STEP_PROBLEMS[name]
+    problem, dt = make(), 0.01
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, M), K=K,
+                        initial_guess=start, seed=42)
+    fast = slow = u0
+    for _ in range(20):
+        got = sdc_step(problem, fast, dt, cfg)
+        want = _reference_step(problem, slow, dt, cfg)
+        assert np.array_equal(got.x_end, want[0]) and np.array_equal(got.v_end, want[1])
+        assert got.final_residual == want[2] and got.f_evals == want[3]
+        fast, slow = (got.x_end, got.v_end), want[:2]
+
+
+@pytest.mark.parametrize("name", list(_STEP_PROBLEMS))
+def test_picard_update_is_the_reference_step_bit_for_bit(name):
+    make, u0 = _STEP_PROBLEMS[name]
+    problem, dt = make(), 0.02
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=4)
+    before = problem.f_evals
+    state, _, F = picard_iterate(problem, u0, dt, cfg.rule, cfg.K)
+    x_end, v_end = collocation_module.update_step(state, u0, dt, cfg.rule, F)
+    want = _reference_step(problem, u0, dt, cfg, picard=True)
+    assert np.array_equal(x_end, want[0]) and np.array_equal(v_end, want[1])
+    assert problem.f_evals - before == want[3]
+
+
+@pytest.mark.parametrize("stepper", ["sdc", "rkn4"])
+def test_march_linear_is_the_plain_map_loop_bit_for_bit(stepper):
+    # t_end = 0.5 in steps of 0.03 ends in a shorter step: two probed maps
+    problem = make_penning()
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=3,
+                        initial_guess=GuessStrategy.RANDOM, seed=42)
+    step = (harness._sdc_stepper(problem, cfg) if stepper == "sdc"
+            else harness._rkn4_stepper(problem))
+    u0, t_end, dt = _STEP_PROBLEMS["penning"][1], 0.5, 0.03
+    x_end, f_evals = harness._march_linear(problem, step, u0, t_end, dt)
+    maps, u, t, spent = {}, np.concatenate(u0), 0.0, 0
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        if h not in maps:
+            maps[h] = harness._step_map(problem, step, h)
+        S, c, evals = maps[h]
+        u = S @ u + c
+        t, spent = t + h, spent + evals
+    assert len(maps) == 2
+    assert np.array_equal(x_end, u[:3]) and f_evals == spent
+
+
+@pytest.mark.parametrize("kind", ["linear", "direct", "fixed-point", "zero-weight"])
+def test_verlet_solve_leaves_its_inputs_unchanged(kind):
+    # the node rows accumulate in verlet_solve's own copies of rhs_x and rhs_v
+    problem = {
+        "direct": SecondOrderIVP(d=3, force=lambda x, v: -np.sin(x),
+                                 velocity_dependent=np.zeros(3, bool)),
+        "fixed-point": SecondOrderIVP(d=3, force=lambda x, v: -0.3 * np.sin(v) - x,
+                                      velocity_dependent=np.ones(3, bool)),
+    }.get(kind, make_penning())
+    rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
+    pre = _picard_preconditioner(rule) if kind == "zero-weight" else build_preconditioner(rule)
+    rhs_x, rhs_v = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 4, 3))
+    forces = problem.f_nodes(rhs_x, rhs_v)
+    inputs = (rhs_x, rhs_v, forces)
+    saved = [a.copy() for a in inputs]
+    X, V, F = verlet_solve(problem, rhs_x, rhs_v, 0.05, pre, forces)
+    assert not any(np.shares_memory(a, b) for a in (X, V, F) for b in inputs)
+    for a, b in zip(inputs, saved):
+        assert np.array_equal(a, b)
 
 
 def test_node_solve_is_chosen_once_per_step(monkeypatch):
