@@ -1,6 +1,8 @@
 """Reference integrators: plain velocity-Verlet and the RK4 baseline."""
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .collocation import _check_guard
@@ -38,12 +40,10 @@ def integrate_verlet(problem: SecondOrderIVP, u0, t0: float, t_end: float,
     its size, so a run costs one force evaluation per step plus the first.
     The node solve is chosen once per step size.
     """
-    solves = {}
+    solves = cache(lambda h: _node_solver(problem, h, (0.5,)))
 
     def step(u, h):
-        if h not in solves:
-            solves[h] = _node_solver(problem, h, (0.5,))
-        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2], _solve=solves[h])
+        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2], _solve=solves(h))
         return u, u
     times, states = march(step, (u0[0], u0[1], None), t0, t_end, dt)
     xs, vs, _ = zip(*states)

@@ -9,7 +9,7 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DivergenceError
 from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
-from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
+from .sdc import GuessStrategy, SweeperConfig, _step_solver, integrate, march, sdc_step
 from .stability import GridSpec, ScanKind, stability_limit
 
 SATURATION_LOW = 1e-12
@@ -129,13 +129,15 @@ def _with(obj, path: str, value):
 
 def read_settings(path: str) -> dict:
     """``{(section, key): text}`` of a config file; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # a '%' in a value is literal
     try:
         found = parser.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
     if not found:
         raise ConfigurationError(f"cannot read config file {path}")
+    if parser.defaults():   # its keys would leak into every section
+        raise ConfigurationError("unknown config section [DEFAULT]")
     sections = {section for section, _ in CONFIG_KEYS}
     settings = {}
     for section in parser.sections():
@@ -356,8 +358,10 @@ def run_global_order(config: ExperimentConfig) -> OrderReport:
 # size instead of stepping through Python thousands of times.
 
 def _sdc_stepper(problem: SecondOrderIVP, sweeper: SweeperConfig):
+    solves = cache(lambda h: _step_solver(problem, h, sweeper))   # once per step size
+
     def step(u, h):
-        res = sdc_step(problem, u, h, sweeper)
+        res = sdc_step(problem, u, h, sweeper, _solve=solves(h))
         return res.x_end, res.v_end
     return step
 
@@ -400,12 +404,10 @@ def _march_linear(problem: SecondOrderIVP, step, u0, t_end: float, dt: float):
     stepped directly instead, so the result is the stepper's own: x_end is
     inf if it diverges, and f_evals counts what it spent up to there.
     """
-    maps = {}
+    maps = cache(lambda h: _step_map(problem, step, h))
 
     def mapped(u, h):
-        if h not in maps:
-            maps[h] = _step_map(problem, step, h)
-        S, c, evals = maps[h]
+        S, c, evals = maps(h)
         u = S.dot(u) + c   # ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
         # the test of collocation._check_guard, inlined: it runs every step
         if not np.abs(u).max() <= DIVERGENCE_GUARD:

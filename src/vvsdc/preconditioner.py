@@ -31,21 +31,15 @@ class PreconditionerMatrices:
         return tuple((self.Qx[m, :m], self.QT[m, :m]) for m in range(1, len(self.QT)))
 
 
+@lru_cache(maxsize=64)
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
     """QT and Qx from QE (node spacings below the diagonal) and QI (QE one column right).
 
-    They are built once per set of rule values (tau, Q and QQ, the arrays they are
-    made of; an ``id`` would be reused after garbage collection) and shared,
-    so their arrays are read-only.
+    They are built once per rule (:func:`~vvsdc.quadrature.build_rule` makes one
+    rule per family and M) and shared, so their arrays are read-only.
     """
-    return _preconditioner(*(np.asarray(a, float).tobytes() for a in (rule.tau, rule.Q, rule.QQ)))
-
-
-@lru_cache(maxsize=64)
-def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
-    dtau = np.diff(np.frombuffer(tau))
+    dtau = np.diff(rule.tau)
     M = len(dtau)
-    Q, QQ = (np.frombuffer(a).reshape(M + 1, M + 1) for a in (Q, QQ))
     QE = np.zeros((M + 1, M + 1))
     QI = np.zeros((M + 1, M + 1))
     for m in range(1, M + 1):
@@ -53,7 +47,7 @@ def _preconditioner(tau: bytes, Q: bytes, QQ: bytes) -> PreconditionerMatrices:
         QI[m, 1:m + 1] = dtau[:m]
     QT = 0.5 * (QE + QI)
     Qx = QE @ QT + 0.5 * QE * QE
-    matrices = PreconditionerMatrices(QT=QT, Qx=Qx, QQ_Qx=QQ - Qx, Q_QT=Q - QT)
+    matrices = PreconditionerMatrices(QT=QT, Qx=Qx, QQ_Qx=rule.QQ - Qx, Q_QT=rule.Q - QT)
     for a in vars(matrices).values():
         a.flags.writeable = False
     return matrices
@@ -65,32 +59,6 @@ def _picard_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
     return PreconditionerMatrices(QT=zero, Qx=zero, QQ_Qx=rule.QQ, Q_QT=rule.Q)
 
 
-@lru_cache(maxsize=256)
-def _node_matrices(a_v: bytes, d: int, dt: float, weights: bytes):
-    """``(c, I - c*A_v)`` for nodes 1, 2, ..., ``c = dt*w`` for each node
-    weight ``w`` of ``weights``; the matrices are read-only.
-
-    ``A_v`` and the weights arrive as the bytes of their float values, so
-    the cache keys on values: two problems with equal ``A_v`` share the
-    matrices of a (dt, weights), and two with different ``A_v`` never do.
-    A singular node matrix is found once, as the set is built: a
-    ``SolverError`` naming the node and ``dt``.
-    """
-    A_v = np.frombuffer(a_v).reshape(d, d)
-    nodes = []
-    for node, w in enumerate(np.frombuffer(weights).tolist(), 1):
-        c = dt * w
-        mat = np.eye(d) - c * A_v
-        try:
-            np.linalg.solve(mat, np.zeros(d))
-        except np.linalg.LinAlgError:
-            raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
-                              f" (c = {c!r})", node=node) from None
-        mat.flags.writeable = False
-        nodes.append((c, mat))
-    return tuple(nodes)
-
-
 def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     """The solve of v = b + c * f(x, v), c = dt * weights[m - 1], at node m.
 
@@ -98,31 +66,36 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     the problem's force.  Zero weights (Picard's) give v = b and one force
     evaluation, with no node matrix and no loop.  Linear forces solve
     ``(I - c A_v) v = b + c A_x x`` by ``np.linalg.solve``'s gesv kernel with
-    the matrices of :func:`_node_matrices`, all nodes' in one cached lookup,
-    and return ``A_x x + A_v v`` from the ``A_x x`` already formed: the problem's
-    ``linear_parts`` define the force this solve evaluates.  Velocity-independent
-    forces are solved directly.  Any other force takes a fixed-point loop that
-    starts at v = b + c * f_start and stops at the first iterate whose residual
-    |b + c * f(x, v) - v| is at most _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|;
-    that iterate is returned with the force already evaluated at it.  A loop
-    that meets a residual that is not finite, or runs _FP_MAXITER iterations,
-    raises a ``SolverError`` that names the node and carries that residual.
+    each node's ``I - c A_v``, built here (a singular one is a ``SolverError``
+    naming the node and ``dt``), and return ``A_x x + A_v v`` from the ``A_x x``
+    already formed: the problem's ``linear_parts`` define the force this solve
+    evaluates.  Velocity-independent forces are solved directly.  Any other
+    force takes a fixed-point loop that starts at v = b + c * f_start and stops
+    at the first iterate whose residual |b + c * f(x, v) - v| is at most
+    _FP_TOL + _FP_RTOL * max|b + c * f(x, v)|; that iterate is returned with
+    the force already evaluated at it.  A loop that meets a residual that is
+    not finite, or runs _FP_MAXITER iterations, raises a ``SolverError`` that
+    names the node and carries that residual.
     """
     weights = np.asarray(weights, float)
     if not weights.any():
         return lambda m, x, b, f_start: (b, problem.f(x, b))
+    c_nodes = (dt * weights).tolist()
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
-        nodes = _node_matrices(np.asarray(A_v, float).tobytes(), problem.d, dt,
-                               weights.tobytes())
+        mats = [np.eye(problem.d) - c * A_v for c in c_nodes]
+        for node, (c, mat) in enumerate(zip(c_nodes, mats), 1):
+            try:
+                np.linalg.solve(mat, np.zeros(problem.d))
+            except np.linalg.LinAlgError:
+                raise SolverError(f"node matrix I - c*A_v is singular at dt = {dt!r}"
+                                  f" (c = {c!r})", node=node) from None
 
         def linear(m, x, b, f_start):
-            c, mat = nodes[m - 1]
             A_x_x = A_x.dot(x)
-            v = _gesv(mat, b + c * A_x_x)
+            v = _gesv(mats[m - 1], b + c_nodes[m - 1] * A_x_x)
             return v, problem.f(x, v, _A_x_x=A_x_x)
         return linear
-    c_nodes = (dt * weights).tolist()
     if not problem.velocity_dependent.any():
         def direct(m, x, b, f_start):
             f = problem.f(x, b)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -28,7 +29,7 @@ class NodeFamily(Enum):
         raise ConfigurationError(f"unknown node family: {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # hashed by identity: caches key on build_rule's one rule
 class QuadratureRule:
     family: NodeFamily
     M: int
@@ -98,8 +99,9 @@ def _lagrange_integrals(nodes: np.ndarray, upper: float, gl_x: np.ndarray,
     return wts @ _lagrange_eval(nodes, pts)
 
 
+@lru_cache(maxsize=64)
 def build_rule(family: NodeFamily, M: int) -> QuadratureRule:
-    """Assemble the padded Q, QQ matrices and the q, qQ update rows."""
+    """Assemble the padded Q, QQ matrices and the q, qQ update rows, once per (family, M)."""
     nodes = generate_nodes(family, M)
     # an n-point Gauss rule is exact for the degree M-1 Lagrange basis
     gl_x, gl_w = npleg.leggauss(max(M, 2))
@@ -108,6 +110,7 @@ def build_rule(family: NodeFamily, M: int) -> QuadratureRule:
         Q[m + 1, 1:] = _lagrange_integrals(nodes, nodes[m], gl_x, gl_w)
     q = np.zeros(M + 1)
     q[1:] = _lagrange_integrals(nodes, 1.0, gl_x, gl_w)
-    return QuadratureRule(family=family, M=M, nodes=nodes,
-                          tau=np.concatenate(([0.0], nodes)), Q=Q, QQ=Q @ Q,
-                          q=q, qQ=q @ Q)
+    arrays = dict(nodes=nodes, tau=np.concatenate(([0.0], nodes)), Q=Q, QQ=Q @ Q, q=q, qQ=q @ Q)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return QuadratureRule(family=family, M=M, **arrays)

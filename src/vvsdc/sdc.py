@@ -5,7 +5,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -102,18 +102,25 @@ def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
     return _sweep(problem, ff, dt, config.matrices, Fk, _solve)
 
 
+def _step_solver(problem: SecondOrderIVP, dt: float, config: SweeperConfig):
+    """The node solve of a step of ``dt`` under ``config``, or None if the step
+    sweeps never: it sweeps when K > 0 or its start is the Verlet sweep."""
+    if config.K or config.initial_guess is GuessStrategy.VERLET_SWEEP:
+        return _node_solver(problem, dt, config.matrices.QT.diagonal()[1:])
+
+
 def sdc_step(problem: SecondOrderIVP, u0, dt: float,
-             config: SweeperConfig) -> StepResult:
+             config: SweeperConfig, *, _solve=None) -> StepResult:
     """One full SDC time step: starting guess, K sweeps, quadrature update.
 
     ``final_residual`` is the collocation residual of the last iterate,
-    computed on first read.  ``u0`` is converted and the sweeps' node solve chosen once, here.
+    computed on first read.  ``u0`` is converted once, here.  The sweeps' node
+    solve ``_solve``, :func:`_step_solver`'s, is chosen here when not given.
     """
     evals_before = problem.f_evals
     u0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, config.rule, problem.d)
-    sweeps = config.K + (config.initial_guess is GuessStrategy.VERLET_SWEEP)
-    solve = _node_solver(problem, dt, config.matrices.QT.diagonal()[1:]) if sweeps else None
+    solve = _solve or _step_solver(problem, dt, config)
     state, F = initial_guess(u0, problem, dt, config, ff=ff, _solve=solve)
     for k in range(1, config.K + 1):
         state, F = sdc_sweep(problem, state, u0, dt, config, F, ff, _solve=solve)
@@ -161,7 +168,9 @@ def march(step, u0, t0: float, t_end: float, dt: float):
 def integrate(problem: SecondOrderIVP, u0, t0: float, t_end: float, dt: float,
               config: SweeperConfig):
     """SDC steps from t0 to t_end; returns (times, results) as :func:`march`."""
+    solves = cache(lambda h: _step_solver(problem, h, config))   # once per step size
+
     def step(u, h):
-        res = sdc_step(problem, u, h, config)
+        res = sdc_step(problem, u, h, config, _solve=solves(h))
         return (res.x_end, res.v_end), res
     return march(step, _as_u0(u0, problem.d), t0, t_end, dt)

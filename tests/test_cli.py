@@ -143,6 +143,27 @@ def test_malformed_config_exits_2(tmp_path, ini):
     assert _run(tmp_path, "nodes", ini)[0] == 2
 
 
+@pytest.mark.parametrize("value", ["sdc %x", "sdc %(x)s"], ids=["percent", "interpolation"])
+def test_percent_in_a_config_value_is_literal(tmp_path, capsys, value):
+    # configparser's interpolation read '%' as syntax and left a traceback with
+    # exit 1; taken literally, the value fails as an unknown method
+    code, out = _run(tmp_path, "work-precision", f"[run]\nmethods = {value}\n")
+    assert code == 2 and not out.exists()
+    method = value.split()[1]
+    assert capsys.readouterr().err == f"error: unknown work-precision method {method!r}\n"
+
+
+@pytest.mark.parametrize("ini", ["[DEFAULT]\nm = 5\n",
+                                 "[DEFAULT]\nm = 5\n[rule]\nfamily = legendre\n"],
+                         ids=["alone", "next-to-a-section"])
+def test_default_section_exits_2(tmp_path, capsys, ini):
+    # configparser copies [DEFAULT]'s keys into every section, or drops them
+    # when there is none; either way the file did not say what it meant
+    code, out = _run(tmp_path, "nodes", ini)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+
+
 @pytest.mark.parametrize("section, key", [("problem", "alpha"), ("sweeper", "k")])
 def test_removed_keys_exit_2(tmp_path, capsys, section, key):
     assert _run(tmp_path, "global-order", f"[{section}]\n{key} = 3\n")[0] == 2

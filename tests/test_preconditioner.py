@@ -10,8 +10,7 @@ from vvsdc import baselines, harness, preconditioner, sdc
 from vvsdc import collocation as collocation_module
 from vvsdc.baselines import integrate_verlet, verlet_step
 from vvsdc.collocation import NodeState, picard_iterate
-from vvsdc.preconditioner import (_FP_RTOL, _FP_TOL, _node_matrices, _node_solver,
-                                  _picard_preconditioner)
+from vvsdc.preconditioner import _FP_RTOL, _FP_TOL, _node_solver, _picard_preconditioner
 from vvsdc.problems import SecondOrderIVP, _linear_problem
 
 
@@ -22,8 +21,7 @@ def test_legendre_M1_matrices():
 
 
 def test_built_once_per_rule_values():
-    # equal rules share one set of matrices; another rule never gets them,
-    # even once the first rule is gone and its id may be reused
+    # the one rule of a (family, M) has one set of matrices; another rule never gets them
     legendre = build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 3))
     assert build_preconditioner(build_rule(NodeFamily.GAUSS_LEGENDRE, 3)) is legendre
     assert SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3)).matrices is legendre
@@ -371,9 +369,11 @@ def test_verlet_solve_leaves_its_inputs_unchanged(kind):
         assert np.array_equal(a, b)
 
 
-def test_node_solve_is_chosen_once_per_step(monkeypatch):
+def test_node_solve_is_chosen_once_per_step_size(monkeypatch):
     # sdc_step chooses the node solve once, for the Verlet start's sweep too;
-    # picard_iterate once per call; the sweeps still call collocation.verlet_solve
+    # integrate once per step size, so a run that ends in a shorter step
+    # chooses twice; picard_iterate once per call; the sweeps still call
+    # collocation.verlet_solve
     chosen, swept = [], []
     choose, sweep = _node_solver, collocation_module.verlet_solve
 
@@ -392,14 +392,15 @@ def test_node_solve_is_chosen_once_per_step(monkeypatch):
     rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
     for start in GuessStrategy:
         cfg = SweeperConfig(rule=rule, K=3, initial_guess=start, seed=42)
+        sweeps = cfg.K + (start is GuessStrategy.VERLET_SWEEP)
         chosen.clear(), swept.clear()
         sdc_step(problem, u0, 0.01, cfg)
-        assert len(chosen) == 1
-        assert len(swept) == cfg.K + (start is GuessStrategy.VERLET_SWEEP)
-        chosen.clear(), swept.clear()
-        integrate(problem, u0, 0.0, 7 * 0.01, 0.01, cfg)
-        assert len(chosen) == 7
-        assert len(swept) == 7 * (cfg.K + (start is GuessStrategy.VERLET_SWEEP))
+        assert len(chosen) == 1 and len(swept) == sweeps
+        for t_end, steps, sizes in [(7 * 0.01, 7, 1), (7.5 * 0.01, 8, 2)]:
+            chosen.clear(), swept.clear()
+            times, _ = integrate(problem, u0, 0.0, t_end, 0.01, cfg)
+            assert len(times) == steps and len(swept) == steps * sweeps
+            assert len(chosen) == len({args[1] for args in chosen}) == sizes
     chosen.clear(), swept.clear()
     picard_iterate(problem, u0, 0.01, rule, 3)
     assert len(chosen) == 1 and len(swept) == 3
@@ -410,13 +411,18 @@ def test_node_solve_is_chosen_once_per_step(monkeypatch):
     SecondOrderIVP(d=3, force=lambda x, v: -np.sin(x), velocity_dependent=np.zeros(3, bool)),
     SecondOrderIVP(d=3, force=lambda x, v: 50.0 * v * v, velocity_dependent=np.ones(3, bool)),
 ], ids=["linear", "velocity-independent", "velocity-dependent"])
-def test_zero_weights_take_one_force_evaluation_and_no_node_matrix(problem):
-    # Picard's node "solve": v = b, one f(x, b), no node matrix and no fixed-point loop
+def test_zero_weights_take_one_force_evaluation_and_no_node_matrix(problem, monkeypatch):
+    # Picard's node "solve": v = b, one f(x, b), no node matrix and no fixed-point
+    # loop; spies see no I - c*A_v built (np.eye), checked or solved
+    built = []
+    for owner, name in [(np, "eye"), (np.linalg, "solve"), (preconditioner, "_gesv")]:
+        monkeypatch.setattr(owner, name, lambda *a, _fn=getattr(owner, name), **k:
+                            built.append(a) or _fn(*a, **k))
     x, b, f_start = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0]), np.ones(3)
-    solve = _node_solver(problem, 0.1, np.zeros(3))
-    before, cached = problem.f_evals, _node_matrices.cache_info().currsize
-    v, f = solve(2, x, b, f_start)
-    assert problem.f_evals == before + 1 and _node_matrices.cache_info().currsize == cached
+    before = problem.f_evals
+    v, f = _node_solver(problem, 0.1, np.zeros(3))(2, x, b, f_start)
+    monkeypatch.undo()
+    assert problem.f_evals == before + 1 and built == []
     assert np.array_equal(v, b) and np.array_equal(f, problem.force(x, b))
 
 
@@ -600,24 +606,13 @@ def test_pivoting_node_solve_is_np_linalg_solve(case, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_node_matrices_key_on_values(b1, b2, c, seed):
     # two problems whose A_v differ at the same c, solved in turn, each get
-    # their own node matrix; a fresh problem with equal A_v reuses its matrix
+    # their own node matrix
     first = make_penning(PenningParams(omega_b=b1))
     second = make_penning(PenningParams(omega_b=b2))
     rhs = np.random.default_rng(seed).uniform(-1e3, 1e3, 3)
     for problem in (first, second, first, second):
         assert np.array_equal(_node_solve(problem, c, rhs),
                               _reference_solve(problem, c, rhs))
-    hits = _node_matrices.cache_info().hits
-    _node_solve(make_penning(PenningParams(omega_b=b2)), c, rhs)
-    assert _node_matrices.cache_info().hits == hits + 1
-
-
-def test_node_matrix_cache_is_bounded():
-    problem = make_oscillator(1.0, 0.5)
-    for k in range(2 * _node_matrices.cache_info().maxsize):
-        _node_solve(problem, 1e-3 * k, np.ones(1))
-    info = _node_matrices.cache_info()
-    assert info.currsize == info.maxsize
 
 
 def test_singular_node_matrix_is_solver_error():

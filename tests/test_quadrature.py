@@ -142,3 +142,13 @@ class TestBuildRule:
                 for m in range(4):
                     expected = np.polyval(integ, rule.nodes[m]) - np.polyval(integ, 0.0)
                     assert rule.Q[m + 1, j + 1] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_built_once_per_family_and_M_and_read_only(self, family):
+        # the rule is shared by every caller of its (family, M), so caches can
+        # key on it, and none of them may change its arrays
+        rule = build_rule(family, 3)
+        assert build_rule(family, 3) is rule and build_rule(family, 4) is not rule
+        for name in ("nodes", "tau", "Q", "QQ", "q", "qQ"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rule, name)[-1] = 0.0
