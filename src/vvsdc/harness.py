@@ -27,6 +27,7 @@ SATURATION_HIGH = 1e2
 _SUBSAMPLE = 10                 # every _SUBSAMPLE-th step of a drift series is kept
 _LIMIT_M = (2, 3, 4, 5, 6)      # node counts of the stability-limit table
 _LIMIT_K = (1, 2, 3, 4)         # sweep counts of the stability-limit table
+WORK_PRECISION_METHODS = ("sdc", "picard", "rkn4", "verlet")
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,12 @@ def _at_least(low, text):
     return value
 
 
+def _method(text):
+    if text not in WORK_PRECISION_METHODS:
+        raise ValueError(f"unknown work-precision method {text!r}")
+    return text
+
+
 def _values(kind, distinct=True):
     """Parser of a list of values; a list of runs (``distinct``) repeats none."""
     def parse(text):
@@ -113,7 +120,7 @@ CONFIG_KEYS = {
     ("run", "t_end"): ("t_end", _positive),
     ("run", "n_steps"): ("n_steps", partial(_at_least, 1)),
     ("run", "hamiltonian_dt"): ("hamiltonian_dt", _positive),
-    ("run", "methods"): ("methods", _values(str)),
+    ("run", "methods"): ("methods", _values(_method)),
     ("run", "kappa_max"): ("grid.kappa_max", float),
     ("run", "mu_max"): ("grid.mu_max", float),
     ("run", "kappa_cells"): ("grid.kappa_cells", int),
@@ -454,13 +461,13 @@ def run_work_precision(config: ExperimentConfig):
             return update_step(state, u, h, rule, forces=F)
         return step
 
-    # method -> (K values, stepper(problem, K)); verlet has no fixed-cost step
-    methods = {
-        "sdc": (config.K_list, lambda problem, K: _sdc_stepper(problem, sweepers[K])),
-        "picard": (config.K_list, picard_stepper),
-        "rkn4": ((0,), lambda problem, K: _rkn4_stepper(problem)),
-        "verlet": ((0,), None),
-    }
+    # method -> (K values, stepper(problem, K)), in WORK_PRECISION_METHODS order; verlet
+    # has no fixed-cost step
+    methods = dict(zip(WORK_PRECISION_METHODS, (
+        (config.K_list, lambda problem, K: _sdc_stepper(problem, sweepers[K])),
+        (config.K_list, picard_stepper),
+        ((0,), lambda problem, K: _rkn4_stepper(problem)),
+        ((0,), None)), strict=True))
     rows = []
     for method in config.methods:
         if method not in methods:

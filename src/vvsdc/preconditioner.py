@@ -53,9 +53,12 @@ def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
     return matrices
 
 
+@lru_cache(maxsize=64)
 def _picard_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
-    """Picard's Q_pre = 0: QT = Qx = 0, so the correction blocks are QQ and Q."""
+    """Picard's Q_pre = 0: QT = Qx = 0, so the correction blocks are QQ and Q.
+    Built once per rule and shared, as :func:`build_preconditioner`'s: read-only."""
     zero = np.zeros_like(rule.Q)
+    zero.flags.writeable = False
     return PreconditionerMatrices(QT=zero, Qx=zero, QQ_Qx=rule.QQ, Q_QT=rule.Q)
 
 

@@ -150,7 +150,18 @@ def test_percent_in_a_config_value_is_literal(tmp_path, capsys, value):
     code, out = _run(tmp_path, "work-precision", f"[run]\nmethods = {value}\n")
     assert code == 2 and not out.exists()
     method = value.split()[1]
-    assert capsys.readouterr().err == f"error: unknown work-precision method {method!r}\n"
+    assert capsys.readouterr().err == (f"error: [run] methods = {value!r}: "
+                                       f"unknown work-precision method {method!r}\n")
+
+
+def test_unknown_method_exits_2_for_any_command(tmp_path, capsys):
+    # the methods are checked when the config is parsed, as every other key
+    # is, not only when work-precision starts its runs
+    code, out = _run(tmp_path, "nodes", "[run]\nmethods = sdc bogus\n")
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ") and err.endswith("\n")
+    assert "unknown work-precision method 'bogus'" in err
 
 
 @pytest.mark.parametrize("ini", ["[DEFAULT]\nm = 5\n",

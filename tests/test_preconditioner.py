@@ -36,6 +36,21 @@ def test_built_once_per_rule_values():
         legendre.Qx[1, 0] = 1.0
 
 
+@pytest.mark.parametrize("family", list(NodeFamily))
+def test_picard_preconditioner_built_once_and_read_only(family):
+    # shared by every Picard iterate and stability stack of the rule, like
+    # build_preconditioner's matrices
+    rule = build_rule(family, 3)
+    pre = _picard_preconditioner(rule)
+    assert _picard_preconditioner(build_rule(family, 3)) is pre
+    assert pre.QQ_Qx is rule.QQ and pre.Q_QT is rule.Q
+    for a in (pre.QT, pre.Qx, pre.QQ_Qx, pre.Q_QT):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[1, 0] = 1.0
+    assert not pre.Qx.any() and not pre.QT.any()
+
+
 def test_triangular_structure():
     for family in NodeFamily:
         for M in range(2, 8):

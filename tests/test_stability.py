@@ -13,7 +13,7 @@ from vvsdc import (AnalysisError, ConfigurationError, GridSpec, GuessStrategy,
                    spectral_radius, stability_function, stability_limit, update_step)
 from vvsdc.cli import _scan
 from vvsdc.collocation import solve_collocation_linear
-from vvsdc.harness import ExperimentConfig, _sdc_stepper, _step_map, write_csv
+from vvsdc.harness import ExperimentConfig, _sdc_stepper, _step_map, run_limits, write_csv
 
 RULE3 = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
 
@@ -283,6 +283,41 @@ class TestScansAndLimits:
             assert res.rho[0, 0] == pytest.approx(0.0, abs=1e-12)
             assert res.stable_mask().all()
 
+    @pytest.mark.parametrize("M", [2, 5])
+    @pytest.mark.parametrize("kind", list(ScanKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("grid, poison", [
+        (GridSpec(kappa_max=4.0, mu_max=3.0, kappa_cells=7, mu_cells=6), None),
+        (GridSpec(kappa_max=4.0, mu_max=3.0, kappa_cells=7, mu_cells=6), (3, 2)),
+        (GridSpec(kappa_max=1e300, mu_max=1.0, kappa_cells=2, mu_cells=3), None),
+    ], ids=["finite", "one-failed-cell", "overflow-row"])
+    def test_scan_equals_one_cell_function(self, grid, poison, kind, M, monkeypatch):
+        # both paths of a stack, all cells finite and some masked, give each
+        # cell exactly the radius of its one-cell matrix; a failed cell reads
+        # NaN in the scan and is an AnalysisError on its own
+        rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+        if poison is not None:
+            bad = grid.kappa_axis()[poison[0]], grid.mu_axis()[poison[1]]
+            matrix = stability._matrix
+
+            def poisoned(kind, rule, K, kappa, mu):
+                out = matrix(kind, rule, K, kappa, mu)
+                out[(kappa == bad[0]) & (mu == bad[1])] = np.nan
+                return out
+            monkeypatch.setattr(stability, "_matrix", poisoned)
+        res = scan_domain(kind, rule, 3, grid)
+        for i, ka in enumerate(res.kappa):
+            for j, m in enumerate(res.mu):
+                if np.isnan(res.rho[i, j]):
+                    with pytest.raises(AnalysisError, match="not finite"):
+                        stability_function(ka, m, rule, 3, kind=kind)
+                else:
+                    assert res.rho[i, j] == spectral_radius(
+                        stability_function(ka, m, rule, 3, kind=kind))
+        if poison is not None:
+            assert res.failures == [bad]
+        elif grid.kappa_max < 1e300:
+            assert res.failures == []
+
     @pytest.mark.parametrize("bounds", [{"mu_min": -1e308, "mu_max": 1e308},
                                         {"kappa_min": -1e308, "kappa_max": 1e308}],
                              ids=["mu", "kappa"])
@@ -450,6 +485,42 @@ class TestScansAndLimits:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if stable(mid) else (lo, mid)
         assert stability_limit(kind, rule, K) == 0.5 * (lo + hi)
+
+    def test_limit_table_matches_sequential_bisection(self, monkeypatch):
+        # every limit of the CLI's table equals a bisection that evaluates one
+        # cell per _rho call, bit for bit; each limit bisects in one call
+        table = run_limits(ExperimentConfig())
+        assert len(table) == 20
+        rho, sizes = stability._rho, []
+
+        def counted(kind, rule, K, kappa, mu):
+            sizes.append(len(kappa))
+            return rho(kind, rule, K, kappa, mu)
+        monkeypatch.setattr(stability, "_rho", counted)
+        bisected = 0
+        for (K, M), limits in table.items():
+            rule = build_rule(NodeFamily.GAUSS_LEGENDRE, M)
+            for kind, limit in zip((ScanKind.SDC_STABILITY, ScanKind.PICARD_STABILITY), limits):
+                def stable(ka):
+                    return rho(kind, rule, K, ka, np.zeros_like(ka)) <= 1.0 + 1.5e-11
+                ladder = np.cumsum(np.full(1001, 0.1))
+                first = int(np.argmin(stable(ladder)))
+                assert not stable(ladder[first:first + 1])[0] and first < 1000
+                sizes.clear()
+                assert stability_limit(kind, rule, K) == limit
+                if first == 0:
+                    assert limit == 0.0 and sizes == [64]
+                    continue
+                lo, hi = float(ladder[first - 1]), float(ladder[first])
+                while hi - lo > 0.01:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if stable(np.array([mid]))[0] else (lo, mid)
+                assert limit == 0.5 * (lo + hi)
+                # the coarse stacks up to the first unstable rung, then one stack
+                # of the bracket's 15 candidate midpoints
+                assert sizes == [64] * (first // 64 + 1) + [15]
+                bisected += 1
+        assert bisected == 29   # the other 11 of the 40 are unstable from the first rung
 
     def test_limit_zero_when_immediately_unstable(self):
         rule2 = build_rule(NodeFamily.GAUSS_LEGENDRE, 2)
