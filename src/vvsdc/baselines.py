@@ -18,7 +18,8 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None, *, _solve
     so a long run costs one new force evaluation per step.  ``_solve`` is
     the :func:`_node_solver` of the problem, ``dt`` and the weight 1/2, which
     a run chooses once per step size; it is chosen here when not given.
-    Returns (x', v', f') with f' the force at the new state.
+    Returns (x', v', f') with f' the force at the new state.  A new state
+    past DIVERGENCE_GUARD, or not finite, is a DivergenceError, as for RK4.
     """
     x = np.atleast_1d(np.asarray(x, float))
     v = np.atleast_1d(np.asarray(v, float))
@@ -29,6 +30,7 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None, *, _solve
     # trapezoidal rule on the nodes (0, 1)
     b = v + 0.5 * dt * f0
     v_new, f_new = (_solve or _node_solver(problem, dt, (0.5,)))(1, x_new, b, f0)
+    _check_guard("Verlet state", x_new, v_new)
     return x_new, v_new, f_new
 
 

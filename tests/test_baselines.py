@@ -48,6 +48,17 @@ class TestVerlet:
         assert len(xs) == steps
         assert problem.f_evals == steps + 1
 
+    @pytest.mark.parametrize("x0", [2e8, np.nextafter(1e8, np.inf), np.inf, np.nan])
+    def test_divergence_guard(self, x0):
+        # the guard of RK4 and the SDC and Picard iterates: past 1e8 or not finite
+        problem = make_oscillator(0.0, 0.0)
+        assert np.array_equal(verlet_step(problem, [1e8], [-1e8], 0.0)[:2], ([1e8], [-1e8]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match=r"^Verlet state exceeded 1e\+08 or is not finite$"):
+            verlet_step(problem, [x0], [0.0], 0.1)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            verlet_step(problem, [0.0], [x0], 0.1)
+
     def test_composition_equals_verlet_solve(self):
         # stepping through the node spacings is the same pass verlet_solve
         # makes when the right-hand side is the free-flight value

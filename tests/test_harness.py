@@ -1,11 +1,14 @@
 import math
 import os
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import read_csv
 from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
@@ -13,12 +16,13 @@ from vvsdc import (ConfigurationError, DivergenceError, GuessStrategy,
                    exact_solution, integrate, make_oscillator, picard_iterate,
                    update_step)
 from vvsdc import harness
-from vvsdc.baselines import integrate_rkn4
+from vvsdc.baselines import integrate_rkn4, integrate_verlet
 from vvsdc.cli import _order
-from vvsdc.harness import (CONFIG_KEYS, ExperimentConfig, _march_linear, _processes,
-                           _rkn4_stepper, _step_map, fit_slope, load_config,
-                           run_global_order, run_hamiltonian_drift,
-                           run_local_order, run_work_precision, write_csv)
+from vvsdc.harness import (CONFIG_KEYS, WORK_PRECISION_METHODS, ExperimentConfig,
+                           _drift_from_matrix, _march_linear, _processes, _rkn4_stepper,
+                           _step_map, fit_slope, load_config, run_global_order,
+                           run_hamiltonian_drift, run_local_order, run_work_precision,
+                           write_csv)
 from vvsdc.sdc import march
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -192,6 +196,23 @@ def test_work_precision_unknown_method():
         run_work_precision(cfg)
 
 
+def test_diverging_verlet_reads_inf():
+    # verlet passes the divergence guard at dt 0.5 before t_end = 50, and its
+    # row reads inf, as rkn4's does, with the evaluations spent up to there
+    cfg = ExperimentConfig(methods=("rkn4", "verlet"), t_end=50.0, dt_list=(0.5, 0.1))
+    rows = {(r["method"], r["dt"]): r for r in run_work_precision(cfg)}
+    problem = cfg.make_problem()
+    with pytest.raises(DivergenceError, match="^Verlet state exceeded"):
+        integrate_verlet(problem, cfg.initial_value(), 0.0, cfg.t_end, 0.5)
+    assert problem.f_evals < 50.0 / 0.5 + 1
+    assert rows["verlet", 0.5] == {"method": "verlet", "K": 0, "dt": 0.5,
+                                   "f_evals": problem.f_evals,
+                                   "err1": math.inf, "err3": math.inf}
+    assert rows["rkn4", 0.5]["err1"] == math.inf
+    assert math.isfinite(rows["verlet", 0.1]["err3"])
+    assert rows["verlet", 0.1]["f_evals"] == 500 + 1
+
+
 def _direct_rows(cfg):
     """Work-precision rows of sdc, picard and rkn4, every run stepped directly."""
     rule = build_rule(cfg.family, cfg.M)
@@ -248,6 +269,10 @@ def _assert_rows_match(cfg, rows, direct, xe):
 
 
 class TestWorkPrecisionMap:
+    # Picard diverges on all of this ladder and rkn4 at dt 0.2 and 0.4
+    DIVERGING = ExperimentConfig(K_list=(1, 2), dt_list=(0.1, 0.2, 0.4),
+                                 methods=("sdc", "picard", "rkn4"))
+
     def test_matches_direct_stepping(self):
         # a short last step (0.5 / 0.04) needs a second probed map
         cfg = ExperimentConfig(K_list=(1, 2), dt_list=(0.04, 0.02, 0.01), t_end=0.5)
@@ -259,8 +284,7 @@ class TestWorkPrecisionMap:
         # both stop part-way, so their rows (inf, f-evals up to the
         # divergence) are the stepper's only if the run is repeated
         # directly; SDC stays finite here
-        cfg = ExperimentConfig(K_list=(1, 2), dt_list=(0.1, 0.2, 0.4),
-                               methods=("sdc", "picard", "rkn4"))
+        cfg = self.DIVERGING
         direct, xe = _direct_rows(cfg)
         diverged = [(r["method"], r["dt"]) for r in direct
                     if not math.isfinite(r["err1"])]
@@ -314,7 +338,55 @@ class TestStepMap:
         assert calls == [0.5] * (3 + 2)   # three probes of the map, two direct steps
 
 
+def _drift_per_step(S, u0, n_steps):
+    """The drift loop that evaluates the energy error at every step: the
+    reference of _drift_from_matrix's (steps, rel_error, max_rel_error)."""
+    x, v = float(u0[0]), float(u0[1])
+    h0 = 0.5 * (x * x + v * v)
+    steps, series = [], []
+    max_err = 0.0
+    (s00, s01), (s10, s11) = S.tolist()
+    for n in range(1, n_steps + 1):
+        x, v = s00 * x + s01 * v, s10 * x + s11 * v
+        err = abs(0.5 * (x * x + v * v) - h0) / h0
+        if err > max_err:
+            max_err = err
+        if n % harness._SUBSAMPLE == 0:
+            steps.append(n)
+            series.append(err)
+    return np.array(steps), np.array(series), max_err
+
+
+def _default_drift_maps():
+    """The one-step maps of `vvsdc hamiltonian` with its defaults."""
+    cfg = ExperimentConfig(problem="oscillator", K_list=(2, 3, 4))
+    problem = cfg.make_problem()
+    steppers = [harness._sdc_stepper(problem, SweeperConfig(
+        rule=build_rule(cfg.family, M), K=K, initial_guess=GuessStrategy.VERLET_SWEEP))
+        for M in (3, 5) for K in cfg.K_list] + [_rkn4_stepper(problem)]
+    return [_step_map(problem, step, cfg.hamiltonian_dt)[0] for step in steppers]
+
+
 class TestHamiltonianDrift:
+    ROTATION = np.array([[math.cos(0.6), math.sin(0.6)], [-math.sin(0.6), math.cos(0.6)]])
+
+    @pytest.mark.parametrize("n_steps", [30, 12345, 100_000])
+    @pytest.mark.parametrize("maps", ["rotation", "growing", "decaying", "default"])
+    def test_blocked_loop_is_the_per_step_loop(self, maps, n_steps):
+        # the growing map reaches inf and then nan, the decaying one underflows
+        S_list = {"rotation": lambda: [self.ROTATION], "growing": lambda: [1.5 * self.ROTATION],
+                  "decaying": lambda: [0.5 * self.ROTATION], "default": _default_drift_maps}
+        for S in S_list[maps]():
+            steps, series, max_err = _drift_per_step(S, (1.0, 0.0), n_steps)
+            drift = _drift_from_matrix(S, (1.0, 0.0), n_steps, maps)
+            assert drift.steps.dtype == steps.dtype and np.array_equal(drift.steps, steps)
+            assert np.array_equal(drift.rel_error, series, equal_nan=True)
+            assert drift.max_rel_error == max_err
+            if maps == "growing" and n_steps > 30:
+                assert np.isinf(series).any() and np.isnan(series[-1])
+            if maps == "decaying" and n_steps > 30:
+                assert series[-1] == 1.0
+
     def test_requires_undamped_oscillator(self):
         with pytest.raises(ConfigurationError):
             run_hamiltonian_drift(ExperimentConfig(problem="penning"))
@@ -385,6 +457,7 @@ class TestMap:
     ORDER = ExperimentConfig(M=2, K_list=(1, 2, 3), t_end=0.2,
                              dt_list=(0.05, 0.025, 0.0125, 0.00625))
     DRIFT = ExperimentConfig(problem="oscillator", K_list=(2, 3), n_steps=300)
+    WORK = replace(TestWorkPrecisionMap.DIVERGING, methods=WORK_PRECISION_METHODS)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -433,10 +506,25 @@ class TestMap:
             for name, value in vars(b).items():
                 assert np.array_equal(getattr(a, name), value), (a.label, name)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_work_precision_rows_are_the_serial_ones(self, monkeypatch, forks, n):
+        shared, serial = self.shared_and_serial(monkeypatch, forks, run_work_precision,
+                                                self.WORK, n, 2 * 2 * 3 + 2 * 3)
+        assert shared == serial
+        errors = {math.isfinite(row["err1"]) for row in serial}
+        assert errors == {True, False}
+
+    def test_unknown_work_precision_method_fails_before_the_fork(self, monkeypatch, forks):
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            run_work_precision(replace(self.WORK, methods=("sdc", "bogus")))
+        assert forks == []
+
     @pytest.mark.parametrize("run, cfg, target, calls", [
         (run_hamiltonian_drift, DRIFT, "_step_map", 5),
         (run_local_order, ORDER, "exact_solution", 4),
-    ], ids=["hamiltonian", "local-order"])
+        (run_work_precision, WORK, "exact_solution", 1),
+    ], ids=["hamiltonian", "local-order", "work-precision"])
     def test_lapack_work_runs_before_the_fork(self, monkeypatch, forks, run, cfg, target,
                                               calls):
         # the exact solutions take expm, whose first call imports scipy.linalg:
@@ -507,7 +595,52 @@ def test_csv_full_precision_roundtrip(tmp_path):
     assert [row[2] for row in rows] == ["x", "label", "y"]
 
 
+def _write_csv_per_cell(path, header, columns):
+    """write_csv formatting each cell on its own: the reference of its one ``%``."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    cells = [map("{:.17g}".format if any(isinstance(x, float) for x in c) else str, c)
+             for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e308]))
+CELLS = {
+    "float": FLOATS,
+    "np.float64": FLOATS.map(np.float64),
+    "int": st.integers(),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(blacklist_categories=("Cs",))),
+    "int and float": st.one_of(st.integers(-2 ** 64, 2 ** 64), st.booleans(), FLOATS),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4)):
+        cells = draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows))
+        if kind in ("float", "np.int64") and draw(st.booleans()):
+            cells = np.array(cells, dtype=float if kind == "float" else np.int64)
+        columns.append(cells)
+    return columns
+
+
 class TestWriteCsv:
+    @settings(deadline=None, max_examples=300)
+    @given(columns=_tables())
+    def test_one_format_writes_the_per_cell_bytes(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = os.path.join(tmp, "one.csv"), os.path.join(tmp, "ref.csv")
+            write_csv(path, header, columns)
+            _write_csv_per_cell(reference, header, columns)
+            assert Path(path).read_bytes() == Path(reference).read_bytes()
+
     def test_columns_are_written_whole(self, tmp_path):
         # floats at %.17g, ints and strings as str; an array is taken as its values
         path = tmp_path / "cols.csv"
