@@ -1,8 +1,6 @@
 """Reference integrators: plain velocity-Verlet and the RK4 baseline."""
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .collocation import _check_guard
@@ -11,13 +9,12 @@ from .problems import SecondOrderIVP
 from .sdc import march
 
 
-def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None, *, _solve=None):
+def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None):
     """One velocity-Verlet step.
 
     Passing ``f_prev`` (the trailing force of the previous step) reuses it,
-    so a long run costs one new force evaluation per step.  ``_solve`` is
-    the :func:`_node_solver` of the problem, ``dt`` and the weight 1/2, which
-    a run chooses once per step size; it is chosen here when not given.
+    so a long run costs one new force evaluation per step; the implicit half
+    of v' is the memoised node solve of the problem, ``dt`` and the weight 1/2.
     Returns (x', v', f') with f' the force at the new state.  A new state
     past DIVERGENCE_GUARD, or not finite, is a DivergenceError, as for RK4.
     """
@@ -29,7 +26,7 @@ def verlet_step(problem: SecondOrderIVP, x, v, dt: float, f_prev=None, *, _solve
     # then solved starting from the force f0 already known, as node 1 of the
     # trapezoidal rule on the nodes (0, 1)
     b = v + 0.5 * dt * f0
-    v_new, f_new = (_solve or _node_solver(problem, dt, (0.5,)))(1, x_new, b, f0)
+    v_new, f_new = _node_solver(problem, dt, (0.5,))(1, x_new, b, f0)
     _check_guard("Verlet state", x_new, v_new)
     return x_new, v_new, f_new
 
@@ -40,12 +37,9 @@ def integrate_verlet(problem: SecondOrderIVP, u0, t0: float, t_end: float,
 
     The trailing force f(x', v') of each step starts the next one whatever
     its size, so a run costs one force evaluation per step plus the first.
-    The node solve is chosen once per step size.
     """
-    solves = cache(lambda h: _node_solver(problem, h, (0.5,)))
-
     def step(u, h):
-        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2], _solve=solves(h))
+        u = verlet_step(problem, u[0], u[1], h, f_prev=u[2])
         return u, u
     times, states = march(step, (u0[0], u0[1], None), t0, t_end, dt)
     xs, vs, _ = zip(*states)

@@ -9,8 +9,8 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
-from itertools import chain
+from functools import cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DivergenceError
 from .problems import (PenningParams, SecondOrderIVP, exact_solution,
                        make_oscillator, make_penning)
 from .quadrature import NodeFamily, build_rule
-from .sdc import GuessStrategy, SweeperConfig, _step_solver, integrate, march, sdc_step
+from .sdc import GuessStrategy, SweeperConfig, integrate, march, sdc_step
 from .stability import GridSpec, ScanKind, stability_limit
 
 SATURATION_LOW = 1e-12
@@ -28,7 +28,9 @@ SATURATION_HIGH = 1e2
 _SUBSAMPLE = 10                 # every _SUBSAMPLE-th step of a drift series is kept
 _LIMIT_M = (2, 3, 4, 5, 6)      # node counts of the stability-limit table
 _LIMIT_K = (1, 2, 3, 4)         # sweep counts of the stability-limit table
+_CSV_ROWS = 1000               # rows of a table formatted and written at a time
 WORK_PRECISION_METHODS = ("sdc", "picard", "rkn4", "verlet")
+PROBLEM_KINDS = ("penning", "oscillator")
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +38,7 @@ WORK_PRECISION_METHODS = ("sdc", "picard", "rkn4", "verlet")
 
 @dataclass
 class ExperimentConfig:
-    problem: str = "penning"            # "penning" | "oscillator"
+    problem: str = "penning"            # one of PROBLEM_KINDS
     kappa: float = 1.0
     mu: float = 0.0
     penning: PenningParams = field(default_factory=PenningParams)
@@ -69,24 +71,30 @@ class ExperimentConfig:
                              initial_guess=self.initial_guess, seed=self.seed)
 
 
-def _positive(text):
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"needs a positive finite value, got {value!r}")
-    return value
+def _checked(kind, test, needs):
+    """Parser of a ``kind`` value that passes ``test``, which ``needs`` describes."""
+    def parse(text):
+        value = kind(text)
+        if not test(value):
+            raise ValueError(f"needs {needs}, got {value!r}")
+        return value
+    return parse
 
 
-def _at_least(low, text):
-    value = int(text)
-    if value < low:
-        raise ValueError(f"needs an integer of at least {low}, got {value}")
-    return value
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite value")
+_non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite value >= 0")
 
 
-def _method(text):
-    if text not in WORK_PRECISION_METHODS:
-        raise ValueError(f"unknown work-precision method {text!r}")
-    return text
+def _at_least(low):
+    return _checked(int, lambda n: n >= low, f"an integer of at least {low}")
+
+
+def _one_of(names, what):
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"unknown {what} {text!r}")
+        return text
+    return parse
 
 
 def _values(kind, distinct=True):
@@ -104,9 +112,9 @@ def _values(kind, distinct=True):
 # The config schema: [section] key -> (ExperimentConfig field, or a field of
 # its ``penning``/``grid`` member, and the parser of the value).
 CONFIG_KEYS = {
-    ("problem", "kind"): ("problem", str),
-    ("problem", "kappa"): ("kappa", float),
-    ("problem", "mu"): ("mu", float),
+    ("problem", "kind"): ("problem", _one_of(PROBLEM_KINDS, "problem kind")),
+    ("problem", "kappa"): ("kappa", _non_negative),
+    ("problem", "mu"): ("mu", _non_negative),
     ("problem", "omega_b"): ("penning.omega_b", float),
     ("problem", "omega_e"): ("penning.omega_e", float),
     ("problem", "epsilon"): ("penning.epsilon", float),
@@ -114,14 +122,15 @@ CONFIG_KEYS = {
     ("problem", "v0"): ("penning.v0", _values(float, distinct=False)),
     ("rule", "family"): ("family", NodeFamily.from_name),
     ("rule", "m"): ("M", int),
-    ("sweeper", "k_list"): ("K_list", _values(partial(_at_least, 0))),
+    ("sweeper", "k_list"): ("K_list", _values(_at_least(0))),
     ("sweeper", "initial_guess"): ("initial_guess", lambda text: GuessStrategy(text.lower())),
-    ("sweeper", "seed"): ("seed", partial(_at_least, 0)),
+    ("sweeper", "seed"): ("seed", _at_least(0)),
     ("run", "dt_list"): ("dt_list", _values(_positive)),
     ("run", "t_end"): ("t_end", _positive),
-    ("run", "n_steps"): ("n_steps", partial(_at_least, 1)),
+    ("run", "n_steps"): ("n_steps", _at_least(1)),
     ("run", "hamiltonian_dt"): ("hamiltonian_dt", _positive),
-    ("run", "methods"): ("methods", _values(_method)),
+    ("run", "methods"): ("methods", _values(_one_of(WORK_PRECISION_METHODS,
+                                                    "work-precision method"))),
     ("run", "kappa_max"): ("grid.kappa_max", float),
     ("run", "mu_max"): ("grid.mu_max", float),
     ("run", "kappa_cells"): ("grid.kappa_cells", int),
@@ -298,55 +307,54 @@ def _map(fn, items, cost):
 # ---------------------------------------------------------------------------
 # order studies
 
-def _order_study(config: ExperimentConfig, errors_at, predict) -> OrderReport:
+def _order_study(config, problem, errors_at, predict) -> OrderReport:
     """Slope-fit per-component errors over the dt ladder for every K.
 
     ``errors_at(problem, u0, dt, sweeper)`` returns the (x, v) error
-    arrays of one run; ``predict`` is the theoretical order.  The runs of
+    arrays of one run of ``problem``, whose exact solution the caller has
+    taken; ``predict`` is the theoretical order.  The runs of
     every (K, dt) pair are shared out by :func:`_map`, costed by sweeps
     per unit time.
     """
-    probe = config.make_problem()
-    if probe.exact is None:
-        raise ConfigurationError("order studies need an exact oracle")
     u0 = config.initial_value()
     dts = np.asarray(config.dt_list, float)
     if len(dts) < 4:
         raise ConfigurationError("order studies need at least 4 dt values")
     sweepers = [config.sweeper(K) for K in config.K_list]
     pairs = [(sw, dt) for sw in sweepers for dt in dts]
-    runs = _map(lambda pair: errors_at(config.make_problem(), u0, pair[1], pair[0]),
+    runs = _map(lambda pair: errors_at(problem, u0, pair[1], pair[0]),
                 pairs, cost=lambda pair: (pair[0].K + 1) / pair[1])
     errors, slopes, predicted = {}, {}, {}
     for n, (K, sw) in enumerate(zip(config.K_list, sweepers)):
         ladder = runs[n * len(dts):(n + 1) * len(dts)]
         for j, var in enumerate("xv"):
-            for i in range(probe.d):
+            for i in range(problem.d):
                 label = f"K{K}_{var}{i + 1}"
                 errors[label] = np.array([run[j][i] for run in ladder])
                 slopes[label] = fit_slope(dts, errors[label])[0]
                 predicted[label] = predict(
-                    sw.rule.order, K, sw.k0, bool(probe.velocity_dependent[i]), var)
+                    sw.rule.order, K, sw.k0, bool(problem.velocity_dependent[i]), var)
     return OrderReport(dts, errors, slopes, predicted)
 
 
 def run_local_order(config: ExperimentConfig) -> OrderReport:
     """Single-step absolute errors per component, one row per dt."""
+    problem = config.make_problem()
     # taken here, before _map forks, so that scipy.linalg is imported once
-    exact = {dt: exact_solution(config.make_problem(), dt, *config.initial_value())
+    exact = {dt: exact_solution(problem, dt, *config.initial_value())
              for dt in np.asarray(config.dt_list, float)}
 
     def errors_at(problem, u0, dt, sw):
         res = sdc_step(problem, u0, dt, sw)
         xe, ve = exact[dt]
         return np.abs(res.x_end - xe), np.abs(res.v_end - ve)
-    return _order_study(config, errors_at, _predicted_local)
+    return _order_study(config, problem, errors_at, _predicted_local)
 
 
 def run_global_order(config: ExperimentConfig) -> OrderReport:
     """Relative errors at t_end per component, slope-fitted over the ladder."""
-    xe, ve = exact_solution(config.make_problem(), config.t_end,
-                            *config.initial_value())
+    problem = config.make_problem()
+    xe, ve = exact_solution(problem, config.t_end, *config.initial_value())
 
     def errors_at(problem, u0, dt, sw):
         try:
@@ -356,7 +364,7 @@ def run_global_order(config: ExperimentConfig) -> OrderReport:
             xn = vn = np.full(problem.d, np.inf)
         return (np.abs(xn - xe) / np.maximum(np.abs(xe), 1e-300),
                 np.abs(vn - ve) / np.maximum(np.abs(ve), 1e-300))
-    return _order_study(config, errors_at, _predicted_global)
+    return _order_study(config, problem, errors_at, _predicted_global)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +375,8 @@ def run_global_order(config: ExperimentConfig) -> OrderReport:
 # size instead of stepping through Python thousands of times.
 
 def _sdc_stepper(problem: SecondOrderIVP, sweeper: SweeperConfig):
-    solves = cache(lambda h: _step_solver(problem, h, sweeper))   # once per step size
-
     def step(u, h):
-        res = sdc_step(problem, u, h, sweeper, _solve=solves(h))
+        res = sdc_step(problem, u, h, sweeper)
         return res.x_end, res.v_end
     return step
 
@@ -454,23 +460,24 @@ def run_work_precision(config: ExperimentConfig):
     """
     rule = build_rule(config.family, config.M)
     u0 = config.initial_value()
-    xe, _ = exact_solution(config.make_problem(), config.t_end, *u0)
+    problem = config.make_problem()
+    xe, _ = exact_solution(problem, config.t_end, *u0)
     sweepers = {K: SweeperConfig(rule=rule, K=K,
                                  initial_guess=GuessStrategy.COPY_INITIAL)
                 for K in config.K_list}
 
-    def picard_stepper(problem, K):
+    def picard_stepper(K):
         def step(u, h):
             state, _, F = picard_iterate(problem, u, h, rule, K=K)
             return update_step(state, u, h, rule, forces=F)
         return step
 
-    # method -> (K values, stepper(problem, K)), in WORK_PRECISION_METHODS order; verlet
+    # method -> (K values, stepper(K)), in WORK_PRECISION_METHODS order; verlet
     # has no fixed-cost step
     methods = dict(zip(WORK_PRECISION_METHODS, (
-        (config.K_list, lambda problem, K: _sdc_stepper(problem, sweepers[K])),
+        (config.K_list, lambda K: _sdc_stepper(problem, sweepers[K])),
         (config.K_list, picard_stepper),
-        ((0,), lambda problem, K: _rkn4_stepper(problem)),
+        ((0,), lambda K: _rkn4_stepper(problem)),
         ((0,), None)), strict=True))
     for method in config.methods:
         if method not in methods:
@@ -478,15 +485,16 @@ def run_work_precision(config: ExperimentConfig):
 
     def row(run):
         method, K, dt = run
-        problem, stepper = config.make_problem(), methods[method][1]
+        stepper = methods[method][1]
         if stepper is not None:
-            x_end, f_evals = _march_linear(problem, stepper(problem, K), u0, config.t_end, dt)
+            x_end, f_evals = _march_linear(problem, stepper(K), u0, config.t_end, dt)
         else:
+            before = problem.f_evals
             try:
                 x_end = integrate_verlet(problem, u0, 0.0, config.t_end, dt)[1][-1]
             except DivergenceError:
                 x_end = np.full(problem.d, math.inf)
-            f_evals = problem.f_evals
+            f_evals = problem.f_evals - before
         err = np.abs(x_end - xe) / np.maximum(np.abs(xe), 1e-300)
         return {"method": method, "K": K, "dt": dt, "f_evals": f_evals,
                 "err1": float(err[0]), "err3": float(err[-1])}
@@ -579,9 +587,9 @@ def run_hamiltonian_drift(config: ExperimentConfig, M_list=(3, 5)):
             f"of its series for the fit of its trend, got {config.n_steps}")
     dt = config.hamiltonian_dt
     u0 = (1.0, 0.0)
+    problem = config.make_problem()
 
     def probe(sw):
-        problem = config.make_problem()
         if sw is None:
             step, label = _rkn4_stepper(problem), "rkn4"
         else:
@@ -618,16 +626,17 @@ def run_limits(config: ExperimentConfig):
 def write_csv(path: str, header, columns):
     """Write ``columns`` under ``header``.  A column is an array or an iterable,
     written whole: at %.17g if it holds a float, as ``str`` otherwise.  One ``%``
-    of the row template, repeated per row, formats every cell, byte for byte as
-    ``'{:.17g}'.format`` and ``str`` would."""
+    of the row template, repeated per row, formats each _CSV_ROWS rows, byte for
+    byte as ``'{:.17g}'.format`` and ``str`` would."""
     columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
         raise ValueError(f"{len(header)} names in the header for columns of lengths "
                          f"{[len(c) for c in columns]}")
     row = ",".join("%.17g" if any(isinstance(x, float) for x in c) else "%s"
                    for c in columns) + "\n"
-    rows = list(zip(*columns))
+    rows = zip(*columns)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(row * len(rows) % tuple(chain.from_iterable(rows)))
+        while part := tuple(islice(rows, _CSV_ROWS)):
+            fh.write(row * len(part) % tuple(chain.from_iterable(part)))

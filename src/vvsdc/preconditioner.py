@@ -30,6 +30,10 @@ class PreconditionerMatrices:
         """``(Qx[m, :m], QT[m, :m])`` for nodes m = 1..M, sliced once per matrices."""
         return tuple((self.Qx[m, :m], self.QT[m, :m]) for m in range(1, len(self.QT)))
 
+    @cached_property
+    def node_weights(self):   # QT[m, m] for nodes m = 1..M, the node solve's memo key
+        return tuple(self.QT.diagonal()[1:].tolist())
+
 
 @lru_cache(maxsize=64)
 def build_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
@@ -62,11 +66,15 @@ def _picard_preconditioner(rule: QuadratureRule) -> PreconditionerMatrices:
     return PreconditionerMatrices(QT=zero, Qx=zero, QQ_Qx=rule.QQ, Q_QT=rule.Q)
 
 
-def _node_solver(problem: SecondOrderIVP, dt: float, weights):
+@lru_cache(maxsize=64)
+def _node_solver(problem: SecondOrderIVP, dt: float, weights: tuple):
     """The solve of v = b + c * f(x, v), c = dt * weights[m - 1], at node m.
 
-    Returns ``solve(m, x, b, f_start) -> (v, f(x, v))``, chosen once for
-    the problem's force.  Zero weights (Picard's) give v = b and one force
+    Returns ``solve(m, x, b, f_start) -> (v, f(x, v))``, chosen for the
+    problem's force and memoised on the last 64 (problem, ``dt``, ``weights``):
+    the problem by identity, ``weights`` a tuple (Verlet's ``(0.5,)``, a sweep's
+    ``node_weights``).  A ``SolverError`` is raised anew on every call, as the
+    memo keeps no exception.  Zero weights (Picard's) give v = b and one force
     evaluation, with no node matrix and no loop.  Linear forces solve
     ``(I - c A_v) v = b + c A_x x`` by ``np.linalg.solve``'s gesv kernel with
     each node's ``I - c A_v``, built here (a singular one is a ``SolverError``
@@ -80,10 +88,9 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
     not finite, or runs _FP_MAXITER iterations, raises a ``SolverError`` that
     names the node and carries that residual.
     """
-    weights = np.asarray(weights, float)
-    if not weights.any():
+    if not any(weights):
         return lambda m, x, b, f_start: (b, problem.f(x, b))
-    c_nodes = (dt * weights).tolist()
+    c_nodes = (dt * np.array(weights)).tolist()
     if problem.is_linear:
         A_x, A_v = problem.linear_parts
         mats = [np.eye(problem.d) - c * A_v for c in c_nodes]
@@ -124,23 +131,22 @@ def _node_solver(problem: SecondOrderIVP, dt: float, weights):
 
 
 def verlet_solve(problem: SecondOrderIVP, rhs_x: np.ndarray, rhs_v: np.ndarray,
-                 dt: float, matrices: PreconditionerMatrices, forces, *, _solve=None):
+                 dt: float, matrices: PreconditionerMatrices, forces):
     """Solve M_pre(U) = rhs by one pass through the nodes, velocity-Verlet's or Picard's.
 
     ``rhs_x``/``rhs_v`` are (M+1, d) stacks; row 0 fixes the node-0 values.
     ``forces``, the (M+1, d) node forces of the previous iterate, fixes the
     node-0 force (row 0) and starts each fixed-point node solve from the
-    velocity its row m gives.  ``_solve`` is the :func:`_node_solver` of the
-    problem, ``dt`` and the ``QT`` diagonal, which a step chooses once for
-    all its sweeps; it is chosen here when not given.  Returns the node
-    states together with the force values at all nodes, so callers can
-    reuse them without re-evaluating.
+    velocity its row m gives.  Each node is solved by the memoised
+    :func:`_node_solver` of the problem, ``dt`` and ``matrices.node_weights``.
+    Returns the node states together with the force values at all nodes, so
+    callers can reuse them without re-evaluating.
     """
     X = np.array(rhs_x, dtype=float)
     V = np.array(rhs_v, dtype=float)
     F = np.empty_like(X)   # every row is set below
     F[0] = forces[0]
-    solve = _solve or _node_solver(problem, dt, matrices.QT.diagonal()[1:])
+    solve = _node_solver(problem, dt, matrices.node_weights)
     dt, dt2 = np.array(dt, float), np.array(dt * dt, float)   # 0-d: a row scales faster
     for m, (qx, qt) in enumerate(matrices.node_rows, 1):
         x, b = X[m], V[m]   # rows of the copies above, accumulated in place

@@ -6,7 +6,7 @@ matrix exponential of the first-order companion system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ from .errors import ConfigurationError
 # the linear forces use ndarray.dot: matmul's BLAS call and bits, minus its ufunc dispatch
 
 
-@dataclass
+@dataclass(eq=False)
 class SecondOrderIVP:
     """A problem x'' = f(x, v) with optional linear structure and oracle.
 
@@ -25,6 +25,8 @@ class SecondOrderIVP:
     than calling ``force`` directly so the counter stays accurate.
     ``linear_parts`` (A_x, A_v), when given, define the force the linear
     node solve evaluates, ``A_x x + A_v v``, in place of ``force``.
+    It is hashed by identity, for the node-solve memo: change no field but
+    ``f_evals`` after its first use; build a new problem instead.
     """
 
     d: int
@@ -32,7 +34,7 @@ class SecondOrderIVP:
     velocity_dependent: np.ndarray
     linear_parts: Optional[tuple[np.ndarray, np.ndarray]] = None
     exact: Optional[Callable] = None
-    f_evals: int = field(default=0, compare=False)
+    f_evals: int = 0
 
     def f(self, x, v, *, _A_x_x=None) -> np.ndarray:
         self.f_evals += 1

@@ -5,7 +5,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -13,8 +13,7 @@ from .collocation import (NodeState, StepResult, _as_u0, _check_guard, _rows,
                           _sweep, collocation_residual, free_flight, update_step)
 from .errors import ConfigurationError, DivergenceError, _check_sweeps
 # verlet_solve is re-exported: perfbench's tracer test reads vvsdc.sdc.verlet_solve
-from .preconditioner import (PreconditionerMatrices, _node_solver, build_preconditioner,
-                             verlet_solve)
+from .preconditioner import PreconditionerMatrices, build_preconditioner, verlet_solve
 from .problems import SecondOrderIVP
 from .quadrature import QuadratureRule
 
@@ -62,11 +61,11 @@ def _random_draws(seed: int, Mp1: int, d: int):
 
 
 def initial_guess(u0, problem: SecondOrderIVP, dt: float,
-                  config: SweeperConfig, ff: NodeState | None = None, *, _solve=None):
+                  config: SweeperConfig, ff: NodeState | None = None):
     """Starting iterate U^0 plus its node forces, by ``config.initial_guess``.
 
     The Verlet start is the copy start followed by one :func:`sdc_sweep`,
-    which takes ``ff`` and ``_solve`` as that function does.  The copy's force f0 is
+    which takes ``ff`` as that function does.  The copy's force f0 is
     constant.  Q and QT integrate a constant alike, and QQ and Qx integrate
     it twice alike wherever ``rule.QQ`` integrates a linear function
     exactly, so that sweep has no correction term there: it is the
@@ -84,46 +83,38 @@ def initial_guess(u0, problem: SecondOrderIVP, dt: float,
     state = NodeState(_rows(x0, Mp1), _rows(v0, Mp1))
     F = _rows(problem.f(x0, v0), Mp1)
     if config.initial_guess is GuessStrategy.VERLET_SWEEP:
-        return sdc_sweep(problem, state, u0, dt, config, F, ff, _solve=_solve)
+        return sdc_sweep(problem, state, u0, dt, config, F, ff)
     return state, F
 
 
 def sdc_sweep(problem: SecondOrderIVP, prev: NodeState, u0, dt: float,
               config: SweeperConfig, prev_forces=None,
-              ff: NodeState | None = None, *, _solve=None):
+              ff: NodeState | None = None):
     """One correction sweep with Q_pre = Q_vv: a velocity-Verlet pass with
     quadrature corrections (see ``collocation._sweep``).  ``ff``, the step's
-    :func:`free_flight` nodes C_coll U_0, is built here when not given, and
-    the node solve ``_solve`` by ``verlet_solve``.  Returns the new state and its node forces.
+    :func:`free_flight` nodes C_coll U_0, is built here when not given.
+    Returns the new state and its node forces.
     """
     Fk = problem.f_nodes(prev.X, prev.V) if prev_forces is None else prev_forces
     if ff is None:
         ff = free_flight(u0, dt, config.rule, problem.d)
-    return _sweep(problem, ff, dt, config.matrices, Fk, _solve)
-
-
-def _step_solver(problem: SecondOrderIVP, dt: float, config: SweeperConfig):
-    """The node solve of a step of ``dt`` under ``config``, or None if the step
-    sweeps never: it sweeps when K > 0 or its start is the Verlet sweep."""
-    if config.K or config.initial_guess is GuessStrategy.VERLET_SWEEP:
-        return _node_solver(problem, dt, config.matrices.QT.diagonal()[1:])
+    return _sweep(problem, ff, dt, config.matrices, Fk)
 
 
 def sdc_step(problem: SecondOrderIVP, u0, dt: float,
-             config: SweeperConfig, *, _solve=None) -> StepResult:
+             config: SweeperConfig) -> StepResult:
     """One full SDC time step: starting guess, K sweeps, quadrature update.
 
     ``final_residual`` is the collocation residual of the last iterate,
-    computed on first read.  ``u0`` is converted once, here.  The sweeps' node
-    solve ``_solve``, :func:`_step_solver`'s, is chosen here when not given.
+    computed on first read.  ``u0`` is converted once, here.  A step that
+    never sweeps (K = 0, not the Verlet start) solves no node.
     """
     evals_before = problem.f_evals
     u0 = _as_u0(u0, problem.d)
     ff = free_flight(u0, dt, config.rule, problem.d)
-    solve = _solve or _step_solver(problem, dt, config)
-    state, F = initial_guess(u0, problem, dt, config, ff=ff, _solve=solve)
+    state, F = initial_guess(u0, problem, dt, config, ff=ff)
     for k in range(1, config.K + 1):
-        state, F = sdc_sweep(problem, state, u0, dt, config, F, ff, _solve=solve)
+        state, F = sdc_sweep(problem, state, u0, dt, config, F, ff)
         _check_guard("SDC iterate", state.X, state.V, k, config.K, dt)
     x_end, v_end = update_step(state, u0, dt, config.rule, forces=F)
     return StepResult(x_end=x_end, v_end=v_end,
@@ -168,9 +159,7 @@ def march(step, u0, t0: float, t_end: float, dt: float):
 def integrate(problem: SecondOrderIVP, u0, t0: float, t_end: float, dt: float,
               config: SweeperConfig):
     """SDC steps from t0 to t_end; returns (times, results) as :func:`march`."""
-    solves = cache(lambda h: _step_solver(problem, h, config))   # once per step size
-
     def step(u, h):
-        res = sdc_step(problem, u, h, config, _solve=solves(h))
+        res = sdc_step(problem, u, h, config)
         return (res.x_end, res.v_end), res
     return march(step, _as_u0(u0, problem.d), t0, t_end, dt)

@@ -164,6 +164,20 @@ def test_unknown_method_exits_2_for_any_command(tmp_path, capsys):
     assert "unknown work-precision method 'bogus'" in err
 
 
+@pytest.mark.parametrize("ini", ["[problem]\nkind = bogus\n",
+                                 "[problem]\nkind = oscillator\nkappa = -1\n",
+                                 "[problem]\nkind = oscillator\nmu = -1\n"],
+                         ids=["kind", "kappa", "mu"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_bad_problem_exits_2_for_any_command(tmp_path, capsys, command, ini):
+    # the kind and the oscillator's coefficients are checked when the config is
+    # parsed, not only by the commands that build a problem
+    code, out = _run(tmp_path, command, ini)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: [problem] ")
+
+
 @pytest.mark.parametrize("ini", ["[DEFAULT]\nm = 5\n",
                                  "[DEFAULT]\nm = 5\n[rule]\nfamily = legendre\n"],
                          ids=["alone", "next-to-a-section"])

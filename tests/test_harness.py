@@ -630,16 +630,32 @@ def _tables(draw):
     return columns
 
 
+def _assert_per_cell_bytes(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = os.path.join(tmp, "one.csv"), os.path.join(tmp, "ref.csv")
+        write_csv(path, header, columns)
+        _write_csv_per_cell(reference, header, columns)
+        assert Path(path).read_bytes() == Path(reference).read_bytes()
+
+
 class TestWriteCsv:
     @settings(deadline=None, max_examples=300)
-    @given(columns=_tables())
-    def test_one_format_writes_the_per_cell_bytes(self, columns):
-        header = [f"c{i}" for i in range(len(columns))]
-        with tempfile.TemporaryDirectory() as tmp:
-            path, reference = os.path.join(tmp, "one.csv"), os.path.join(tmp, "ref.csv")
-            write_csv(path, header, columns)
-            _write_csv_per_cell(reference, header, columns)
-            assert Path(path).read_bytes() == Path(reference).read_bytes()
+    @given(columns=_tables(), chunk=st.integers(1, 5))
+    def test_one_format_writes_the_per_cell_bytes(self, columns, chunk):
+        # tables of up to 12 rows in chunks of up to 5: none, one, several,
+        # with a full or a partial last chunk
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_CSV_ROWS", chunk)
+            _assert_per_cell_bytes(columns)
+
+    @pytest.mark.parametrize("chunks", [2, 2.5])
+    def test_tables_of_several_chunks_write_the_per_cell_bytes(self, chunks):
+        rng = np.random.default_rng(7)
+        n_rows = int(chunks * harness._CSV_ROWS)
+        _assert_per_cell_bytes([np.arange(n_rows), rng.normal(size=n_rows),
+                                [str(x) for x in rng.integers(-9, 9, n_rows)],
+                                [(0.5, 1, True)[i] for i in rng.integers(0, 3, n_rows)]])
 
     def test_columns_are_written_whole(self, tmp_path):
         # floats at %.17g, ints and strings as str; an array is taken as its values

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from vvsdc import (GuessStrategy, NodeFamily, PenningParams, SolverError,
                    SweeperConfig, build_preconditioner, build_rule, integrate,
                    make_oscillator, make_penning, sdc_step, verlet_solve)
-from vvsdc import baselines, harness, preconditioner, sdc
+from vvsdc import harness, preconditioner
 from vvsdc import collocation as collocation_module
 from vvsdc.baselines import integrate_verlet, verlet_step
 from vvsdc.collocation import NodeState, picard_iterate
@@ -137,10 +137,10 @@ def test_verlet_solve_matches_dense_solve():
         assert V - dt * (pre.QT @ Fd) == pytest.approx(rhs_v, abs=1e-12)
 
 
-def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces, *, _solve=None):
+def _reference_sweep(problem, rhs_x, rhs_v, dt, pre, forces):
     """verlet_solve of a linear force written out node by node, each node
     velocity by np.linalg.solve (gesv, the kernel the node solve calls) and
-    each node force by problem.f; the step's node solve ``_solve`` is ignored."""
+    each node force by problem.f."""
     A_x, A_v = problem.linear_parts
     X, V, F = (np.array(a, dtype=float) for a in (rhs_x, rhs_v, forces))
     for m in range(1, len(X)):
@@ -385,40 +385,57 @@ def test_verlet_solve_leaves_its_inputs_unchanged(kind):
 
 
 def test_node_solve_is_chosen_once_per_step_size(monkeypatch):
-    # sdc_step chooses the node solve once, for the Verlet start's sweep too;
-    # integrate once per step size, so a run that ends in a shorter step
-    # chooses twice; picard_iterate once per call; the sweeps still call
-    # collocation.verlet_solve
-    chosen, swept = [], []
-    choose, sweep = _node_solver, collocation_module.verlet_solve
-
-    def spy_choose(*args):
-        chosen.append(args)
-        return choose(*args)
+    # the node solve is memoised on (problem, dt, weights): sdc_step chooses it
+    # once, for the Verlet start's sweep too, and a step that never sweeps not
+    # at all; integrate once per step size, so a run that ends in a shorter step
+    # chooses twice, and a second run of that problem and dt nothing new;
+    # picard_iterate once; the sweeps still call collocation.verlet_solve
+    swept = []
+    sweep = collocation_module.verlet_solve
 
     def spy_sweep(*args, **kwargs):
         swept.append(args)
         return sweep(*args, **kwargs)
-    for module in (preconditioner, collocation_module, sdc, baselines):
-        monkeypatch.setattr(module, "_node_solver", spy_choose)
     monkeypatch.setattr(collocation_module, "verlet_solve", spy_sweep)
+
+    def chosen():
+        return _node_solver.cache_info().misses
+
+    def clear():
+        _node_solver.cache_clear(), swept.clear()
     problem = make_penning()
     u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
     rule = build_rule(NodeFamily.GAUSS_LEGENDRE, 3)
     for start in GuessStrategy:
         cfg = SweeperConfig(rule=rule, K=3, initial_guess=start, seed=42)
         sweeps = cfg.K + (start is GuessStrategy.VERLET_SWEEP)
-        chosen.clear(), swept.clear()
+        clear()
         sdc_step(problem, u0, 0.01, cfg)
-        assert len(chosen) == 1 and len(swept) == sweeps
+        assert chosen() == 1 and len(swept) == sweeps
         for t_end, steps, sizes in [(7 * 0.01, 7, 1), (7.5 * 0.01, 8, 2)]:
-            chosen.clear(), swept.clear()
+            clear()
             times, _ = integrate(problem, u0, 0.0, t_end, 0.01, cfg)
             assert len(times) == steps and len(swept) == steps * sweeps
-            assert len(chosen) == len({args[1] for args in chosen}) == sizes
-    chosen.clear(), swept.clear()
+            assert chosen() == sizes
+            integrate(problem, u0, 0.0, t_end, 0.01, cfg)
+            assert chosen() == sizes
+    clear()
+    sdc_step(problem, u0, 0.01, SweeperConfig(rule=rule, K=0))
+    assert chosen() == 0 and swept == []
     picard_iterate(problem, u0, 0.01, rule, 3)
-    assert len(chosen) == 1 and len(swept) == 3
+    assert chosen() == 1 and len(swept) == 3
+
+
+def test_alternated_problems_count_their_own_force_evaluations():
+    # the memo keys on the problem itself: two equal Penning traps stepped in
+    # turn at one dt each solve their nodes with their own force
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 3), K=3)
+    u0 = (np.array([3.0, -7.0, 1.0]), np.array([60.0, 20.0, -90.0]))
+    first, second = make_penning(), make_penning()
+    for problem in (first, second, first, second):
+        per_step = sdc_step(problem, u0, 0.01, cfg).f_evals
+    assert per_step == 1 + 3 * 3   # the copy start's f0, then M per sweep
+    assert first.f_evals == second.f_evals == 2 * per_step
 
 
 @pytest.mark.parametrize("problem", [
@@ -435,7 +452,7 @@ def test_zero_weights_take_one_force_evaluation_and_no_node_matrix(problem, monk
                             built.append(a) or _fn(*a, **k))
     x, b, f_start = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0]), np.ones(3)
     before = problem.f_evals
-    v, f = _node_solver(problem, 0.1, np.zeros(3))(2, x, b, f_start)
+    v, f = _node_solver(problem, 0.1, (0.0,) * 3)(2, x, b, f_start)
     monkeypatch.undo()
     assert problem.f_evals == before + 1 and built == []
     assert np.array_equal(v, b) and np.array_equal(f, problem.force(x, b))
@@ -645,3 +662,14 @@ def test_singular_node_matrix_is_solver_error():
     # the Verlet baseline's half-step node solve (c = dt/2) fails the same way
     with pytest.raises(SolverError, match=r"singular at dt = 0\.5"):
         verlet_step(problem, 1.0, 1.0, 0.5)
+
+
+def test_singular_node_matrix_fails_on_every_call():
+    # the memo keeps no exception: every call builds the node matrix again and fails
+    problem = _linear_problem([[0.0]], [[4.0]])
+    cfg = SweeperConfig(rule=build_rule(NodeFamily.GAUSS_LEGENDRE, 1), K=2)
+    for _ in range(3):
+        with pytest.raises(SolverError, match="singular"):
+            sdc_step(problem, (1.0, 1.0), 1.0, cfg)
+        with pytest.raises(SolverError, match="singular"):
+            verlet_step(problem, 1.0, 1.0, 0.5)
